@@ -17,7 +17,7 @@ import numpy as np
 
 from .basis import GpwFunction, unit_sphere_directions
 from .operators import CoefficientJet
-from .polycore import GradedPoly, monomials_up_to
+from .polycore import GradedPoly, space_dimension
 
 
 # -- Taylor truncations and ranks -----------------------------------------
@@ -49,12 +49,10 @@ def taylor_matrix(family: Sequence[GpwFunction], bound: int | None = None) -> np
     dim = family[0].phase.dim
     if bound is None:
         bound = max(phi.degree for phi in family)
-    columns = monomials_up_to(dim, bound)
-    matrix = np.zeros((len(family), len(columns)), dtype=complex)
+    matrix = np.zeros((len(family), space_dimension(dim, bound)), dtype=complex)
     for row, phi in enumerate(family):
-        truncated = taylor_truncation(phi, bound)
-        for col, index in enumerate(columns):
-            matrix[row, col] = truncated.coeffs.get(index, 0j)
+        coefficients = taylor_truncation(phi, bound).vec
+        matrix[row, : len(coefficients)] = coefficients
     return matrix
 
 
@@ -119,6 +117,22 @@ def rank_comparison(
 
 
 @dataclass(frozen=True)
+class ExpPhase:
+    """x -> exp(phase(x - center)), at one point or, with ``values``, at many."""
+
+    center: tuple[float, ...]
+    phase: GradedPoly
+
+    def __call__(self, point: Sequence[float]) -> complex:
+        offset = tuple(float(a) - b for a, b in zip(point, self.center))
+        return cmath.exp(self.phase.evaluate(offset))
+
+    def values(self, points: Sequence[Sequence[float]]) -> np.ndarray:
+        offsets = np.asarray(points, dtype=float) - self.center
+        return np.exp(self.phase.evaluate_many(offsets))
+
+
+@dataclass(frozen=True)
 class ManufacturedProblem:
     """Helmholtz problem with the exact solution exp(g(x - center)).
 
@@ -130,9 +144,9 @@ class ManufacturedProblem:
     phase: GradedPoly
     kappa_sq: GradedPoly  # centered coordinates
 
-    def solution(self, point: Sequence[float]) -> complex:
-        offset = tuple(float(a) - b for a, b in zip(point, self.center))
-        return cmath.exp(self.phase.evaluate(offset))
+    @property
+    def solution(self) -> ExpPhase:
+        return ExpPhase(self.center, self.phase)
 
     def kappa_sq_field(self, point: Sequence[float]) -> complex:
         offset = tuple(float(a) - b for a, b in zip(point, self.center))
@@ -214,6 +228,21 @@ def ball_points(
 # -- least-squares fits ------------------------------------------------------
 
 
+def _sample(
+    field: Callable[[Sequence[float]], complex], points: Sequence[Sequence[float]]
+) -> np.ndarray:
+    """Values of a scalar field at each point; one batch when it has ``values(points)``."""
+    values = getattr(field, "values", None)
+    if values is not None:
+        return np.asarray(values(points), dtype=complex)
+    return np.array([field(x) for x in points], dtype=complex)
+
+
+def _family_matrix(family: Sequence[GpwFunction], points: Sequence[Sequence[float]]) -> np.ndarray:
+    """Rows: points; columns: family members."""
+    return np.column_stack([phi.values(points) for phi in family])
+
+
 @dataclass(frozen=True)
 class FitResult:
     error: float
@@ -233,7 +262,10 @@ def family_fit_error(
     The fit minimizes the discrete l2 misfit on the fit grid with
     truncated-SVD regularization; the reported error is the sup over a
     roughly ten-times denser ball sample, so it upper-bounds the best
-    achievable sup-norm error of the family on that ball.
+    achievable sup-norm error of the family on that ball.  The family and,
+    when it has a ``values(points)`` method (``GpwFunction``,
+    ``ManufacturedProblem.solution``), the solution are evaluated one batch
+    per point set.
     """
     if not family:
         raise ValueError("family is empty")
@@ -242,8 +274,8 @@ def family_fit_error(
     dim = family[0].phase.dim
     center = family[0].center
     grid = fit_points(dim, center, radius, len(family))
-    matrix = np.array([[phi(x) for phi in family] for x in grid], dtype=complex)
-    values = np.array([solution(x) for x in grid], dtype=complex)
+    matrix = _family_matrix(family, grid)
+    values = _sample(solution, grid)
     left, singulars, right_h = np.linalg.svd(matrix, full_matrices=False)
     if singulars.size == 0 or singulars[0] == 0:
         raise ValueError("degenerate sampling: zero fit matrix")
@@ -255,8 +287,8 @@ def family_fit_error(
         (left[:, :rank].conj().T @ values) / singulars[:rank]
     )
     dense = ball_points(dim, center, radius, len(family))
-    dense_matrix = np.array([[phi(x) for phi in family] for x in dense], dtype=complex)
-    dense_values = np.array([solution(x) for x in dense], dtype=complex)
+    dense_matrix = _family_matrix(family, dense)
+    dense_values = _sample(solution, dense)
     error = float(np.max(np.abs(dense_values - dense_matrix @ coefficients)))
     degenerate = rank < min(len(family), len(grid))
     return FitResult(error, rank, len(family), degenerate)
@@ -354,10 +386,8 @@ def convergence_study(
     if expected_order is None:
         expected_order = degree + 1
     errors = [family_fit_error(solution, family, h).error for h in radii]
-    scale = max(
-        1.0,
-        max(abs(solution(x)) for x in ball_points(family[0].phase.dim, family[0].center, radii[0], 1)),
-    )
+    probe = ball_points(family[0].phase.dim, family[0].center, radii[0], 1)
+    scale = max(1.0, float(np.max(np.abs(_sample(solution, probe)))))
     pair, slope, exact = _fit_slopes(radii, errors, 1e-12 * scale)
     monotone = all(a >= b for a, b in zip(errors, errors[1:]))
     return DecayReport(
@@ -386,12 +416,16 @@ def helmholtz_residual_exact(
     the image of the exponential is then an exact polynomial times the
     exponential, with no truncation anywhere.
     """
-    phase = phi.phase
+    symbol = _helmholtz_symbol(phi.phase, kappa_sq)
+    return symbol.evaluate(offset) * cmath.exp(phi.phase.evaluate(offset))
+
+
+def _helmholtz_symbol(phase: GradedPoly, kappa_sq: GradedPoly) -> GradedPoly:
+    """Lap(phase) + |grad phase|^2 + kappa_sq: the Helmholtz image of exp(phase) over exp(phase)."""
     grad_sq = GradedPoly.zero(phase.dim)
     for comp in phase.gradient():
         grad_sq = grad_sq + comp.mul_truncated(comp, None)
-    symbol = phase.laplacian() + grad_sq + kappa_sq
-    return symbol.evaluate(offset) * cmath.exp(phase.evaluate(offset))
+    return phase.laplacian() + grad_sq + kappa_sq
 
 
 def helmholtz_residual_fd(
@@ -439,17 +473,16 @@ def residual_order_study(
         raise ValueError("exact method needs a polynomial coefficient")
 
     dim = phi.phase.dim
+    symbol = _helmholtz_symbol(phi.phase, kappa_sq) if method == "exact" else None
     errors = []
     for h in radii:
-        worst = 0.0
-        for point in sphere_points(dim, phi.center, h, samples):
-            if method == "exact":
-                offset = tuple(a - b for a, b in zip(point, phi.center))
-                value = helmholtz_residual_exact(phi, kappa_sq, offset)
-            else:
-                value = helmholtz_residual_fd(phi, kappa_sq, point, h * 1e-3)
-            worst = max(worst, abs(value))
-        errors.append(worst)
+        points = sphere_points(dim, phi.center, h, samples)
+        if symbol is not None:
+            offsets = np.asarray(points) - phi.center
+            values = symbol.evaluate_many(offsets) * np.exp(phi.phase.evaluate_many(offsets))
+        else:
+            values = [helmholtz_residual_fd(phi, kappa_sq, point, h * 1e-3) for point in points]
+        errors.append(float(np.max(np.abs(values), initial=0.0)))
     pair, slope, exact = _fit_slopes(radii, errors, 1e-11)
     monotone = all(a >= b for a, b in zip(errors, errors[1:]))
     return DecayReport(

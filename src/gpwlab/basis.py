@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .frame import FreeParameters, OperatorSplit, preimage
 from .polycore import GradedPoly
 
@@ -106,6 +108,11 @@ class GpwFunction:
     def at_offset(self, offset: Sequence[float]) -> complex:
         """Evaluate in centered coordinates X = x - center."""
         return cmath.exp(self.phase.evaluate(offset))
+
+    def values(self, points: Sequence[Sequence[float]]) -> np.ndarray:
+        """Values at the rows of an (n, dim) array of global points."""
+        offsets = np.asarray(points, dtype=float) - self.center
+        return np.exp(self.phase.evaluate_many(offsets))
 
 
 def certificate_norm(split: OperatorSplit, phase: GradedPoly) -> float:
@@ -237,6 +244,7 @@ def family_to_records(family: Iterable[GpwFunction]) -> list[dict]:
             "direction": _direction_payload(phi.direction),
             "x0": list(phi.center),
             "p": phi.degree,
+            "operator": phi.operator,
             "phase": phi.phase.to_records(),
             "residual_norm": phi.residual_norm,
         }

@@ -100,17 +100,29 @@ def _parse_scalar(value) -> complex:
     raise ConfigError(f"expected a number or [re, im] pair, got {value!r}")
 
 
-def _parse_coefficient(value, dim: int, center: Sequence[float]) -> CoefficientJet:
-    """A coefficient is a constant scalar or a serialized centered polynomial."""
+def _records_degree(records) -> int:
+    """Largest total degree in polynomial records, read before any storage is sized."""
+    return max((sum(int(e) for e in record["exponents"]) for record in records), default=-1)
+
+
+def _parse_coefficient(value, config: RunConfig) -> CoefficientJet:
+    """A coefficient is a constant scalar or a serialized centered polynomial.
+
+    Polynomials are stored densely up to their degree, so a coefficient may
+    not exceed the degree of the run.
+    """
     if isinstance(value, (int, float)) or (
         isinstance(value, (list, tuple))
         and len(value) == 2
         and all(isinstance(v, (int, float)) for v in value)
     ):
-        return CoefficientJet.constant(dim, _parse_scalar(value))
+        return CoefficientJet.constant(config.dim, _parse_scalar(value))
     if isinstance(value, list):
         try:
-            poly = GradedPoly.from_records(dim, value)
+            degree = _records_degree(value)
+            if degree > config.degree:
+                raise ConfigError(f"degree {degree} exceeds the run degree {config.degree}")
+            poly = GradedPoly.from_records(config.dim, value)
         except (KeyError, TypeError, ValueError) as err:
             raise ConfigError(f"bad polynomial records: {err}") from err
         return as_jet(poly)
@@ -138,13 +150,13 @@ def build_problem(config: RunConfig) -> Problem:
             )
             jet = CoefficientJet.from_polynomial(profile, config.center)
         elif preset == "manufactured":
-            phase = _parse_coefficient(op.pop("phase"), config.dim, config.center).poly
+            phase = _parse_coefficient(op.pop("phase"), config).poly
             problem = approx.manufactured_helmholtz(phase, config.center)
             return Problem(
                 make_helmholtz_split(problem.jet, config.degree), manufactured=problem
             )
         elif preset is None:
-            jet = _parse_coefficient(op.pop("kappa_sq_jet"), config.dim, config.center)
+            jet = _parse_coefficient(op.pop("kappa_sq_jet"), config)
         else:
             raise ConfigError(f"unknown helmholtz preset {preset!r}")
         if op:
@@ -152,14 +164,14 @@ def build_problem(config: RunConfig) -> Problem:
         return Problem(make_helmholtz_split(jet, config.degree))
     if kind == "convected":
         try:
-            rho = _parse_coefficient(op.pop("rho"), config.dim, config.center)
+            rho = _parse_coefficient(op.pop("rho"), config)
             mach_raw = op.pop("mach")
             kappa = _parse_scalar(op.pop("kappa"))
         except KeyError as err:
             raise ConfigError(f"missing convected field: {err}") from err
         if not isinstance(mach_raw, list) or len(mach_raw) != config.dim:
             raise ConfigError("mach must list one component per dimension")
-        mach = [_parse_coefficient(m, config.dim, config.center) for m in mach_raw]
+        mach = [_parse_coefficient(m, config) for m in mach_raw]
         if op:
             raise ConfigError(f"unused operator fields: {sorted(op)}")
         try:
@@ -192,6 +204,10 @@ def cmd_verify(config: RunConfig, out: Path, quiet: bool) -> int:
     basis_path = out / BASIS_FILE
     try:
         records = json.loads(basis_path.read_text())
+        for record in records:
+            degree = _records_degree(record["phase"])
+            if degree > config.degree:
+                raise ConfigError(f"phase degree {degree} exceeds the run degree {config.degree}")
         family = basis.family_from_records(records)
     except FileNotFoundError as err:
         raise ConfigError(f"basis file not found: {basis_path}") from err

@@ -22,7 +22,7 @@ from .polycore import (
     GradedPoly,
     HomogeneousPoly,
     MultiIndex,
-    monomials_of_degree,
+    layer_dimension,
     space_dimension,
 )
 
@@ -126,8 +126,9 @@ class FreeParameters:
         for n, component in enumerate(self.free):
             if component.dim != split.dim or component.degree != n + split.order:
                 raise SplitContractError(f"free component {n} has wrong degree")
-            allowed = set(split.free_monomials(n))
-            stray = set(component.coeffs) - allowed
+            if not component:
+                continue
+            stray = set(component.coeffs).difference(split.free_monomials(n))
             if stray:
                 raise SplitContractError(
                     f"free component {n} uses non-free monomials {sorted(stray)}"
@@ -238,20 +239,22 @@ def random_poly(
     rng: np.random.Generator, dim: int, max_degree: int, min_degree: int = 0
 ) -> GradedPoly:
     """Dense random polynomial, coefficients uniform on the complex square [-1,1]^2."""
-    coeffs: dict[MultiIndex, complex] = {}
-    for n in range(min_degree, max_degree + 1):
-        for index in monomials_of_degree(dim, n):
-            re, im = rng.uniform(-1.0, 1.0, 2)
-            coeffs[index] = complex(re, im)
-    return GradedPoly(dim, coeffs)
+    vec = np.zeros(space_dimension(dim, max_degree), dtype=complex)
+    start = space_dimension(dim, min_degree - 1)
+    vec[start:] = _uniform_complex(rng, len(vec) - start)
+    return GradedPoly.from_vector(dim, vec)
 
 
 def random_homogeneous(rng: np.random.Generator, dim: int, degree: int) -> HomogeneousPoly:
-    coeffs: dict[MultiIndex, complex] = {}
-    for index in monomials_of_degree(dim, degree):
-        re, im = rng.uniform(-1.0, 1.0, 2)
-        coeffs[index] = complex(re, im)
-    return HomogeneousPoly(dim, degree, coeffs)
+    return HomogeneousPoly.from_vector(
+        dim, degree, _uniform_complex(rng, layer_dimension(dim, degree))
+    )
+
+
+def _uniform_complex(rng: np.random.Generator, count: int) -> np.ndarray:
+    """count values on the complex square [-1,1]^2, real and imaginary parts drawn in turn."""
+    parts = rng.uniform(-1.0, 1.0, (max(count, 0), 2))
+    return parts[:, 0] + 1j * parts[:, 1]
 
 
 def _rel(deviation: float, scale: float) -> float:

@@ -9,7 +9,7 @@ inverted by forward substitution in powers of the pivot variable.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -18,8 +18,10 @@ from .polycore import (
     GradedPoly,
     HomogeneousPoly,
     MultiIndex,
+    derivative_table,
+    layer_dimension,
     monomials_of_degree,
-    monomials_up_to,
+    space_dimension,
 )
 
 
@@ -34,6 +36,8 @@ class PrincipalPart2:
     dim: int
     coeffs: Mapping[MultiIndex, complex]
     pivot: int
+    # per layer: the inverse block of solve_layer, built on first use
+    _inverses: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         clean: dict[MultiIndex, complex] = {}
@@ -98,63 +102,58 @@ def solve_layer(part: PrincipalPart2, rhs: HomogeneousPoly) -> HomogeneousPoly:
     """Invert the principal part on the solvable block of one layer.
 
     Returns the unique q of degree rhs.degree + 2, supported on monomials
-    with pivot exponent >= 2, such that part.apply(q) == rhs.  Writing
-    q = sum_i q_i * t^i with t the pivot variable and q_i free of t, the
-    t^i slice of the image couples q_{i+2} with derivatives of q_{i+1}
-    and q_i only, so slices are solved for increasing i from q_0 = q_1 = 0:
-
-        lead * (i+2)(i+1) q_{i+2} = b_i
-            - sum_{pivot exponent 1} c_j (i+1) D^{j'} q_{i+1}
-            - sum_{pivot exponent 0} c_j D^{j'} q_i
-
-    where j' is j with the pivot entry removed and lead is the pure
-    second-derivative coefficient in the pivot variable.
+    with pivot exponent >= 2, such that part.apply(q) == rhs.  Pair each
+    monomial m of the layer with the solvable monomial m * t^2, t the
+    pivot variable.  The image of m * t^2 is lead * (i+2)(i+1) * m, with
+    lead the pure second-derivative coefficient in the pivot variable and
+    i the pivot exponent of m, plus terms whose pivot exponent is i + 1
+    (one pivot derivative) or i + 2 (none).  Ordered by pivot exponent,
+    the block of the operator between the two bases is therefore lower
+    triangular with that diagonal; its inverse comes from forward
+    substitution, once per layer, and a solve is one matrix-vector product.
     """
     if rhs.dim != part.dim:
         raise ValueError("dimension mismatch")
-    n = rhs.degree
-    k = part.pivot
-    lead = part.pivot_coefficient
+    if rhs.degree not in part._inverses:
+        part._inverses[rhs.degree] = _layer_inverse(part, rhs.degree)
+    order, positions, inverse = part._inverses[rhs.degree]
+    q = np.zeros(layer_dimension(part.dim, rhs.degree + 2), dtype=complex)
+    q[positions] = inverse @ rhs.vec[order]
+    return HomogeneousPoly.from_vector(part.dim, rhs.degree + 2, q)
 
-    def erase_pivot(index: MultiIndex) -> MultiIndex:
-        return tuple(0 if i == k else e for i, e in enumerate(index))
 
-    rhs_slices: dict[int, GradedPoly] = {}
-    for index, value in rhs.coeffs.items():
-        i = index[k]
-        piece = rhs_slices.get(i, GradedPoly.zero(part.dim))
-        rhs_slices[i] = piece + GradedPoly.monomial(part.dim, erase_pivot(index), value)
-
-    zero = GradedPoly.zero(part.dim)
-    slices: dict[int, GradedPoly] = {0: zero, 1: zero}
-    for i in range(n + 1):
-        acc = rhs_slices.get(i, zero)
-        for index, value in sorted(part.coeffs.items()):
-            if index[k] == 1:
-                acc = acc - slices[i + 1].derive(erase_pivot(index)).scaled(value * (i + 1))
-            elif index[k] == 0:
-                acc = acc - slices[i].derive(erase_pivot(index)).scaled(value)
-        slices[i + 2] = acc.scaled(1.0 / (lead * (i + 2) * (i + 1)))
-
-    coeffs: dict[MultiIndex, complex] = {}
-    for i in range(2, n + 3):
-        for index, value in slices[i].coeffs.items():
-            key = tuple(i if axis == k else e for axis, e in enumerate(index))
-            coeffs[key] = value
-    return HomogeneousPoly(part.dim, n + 2, coeffs)
+def _layer_inverse(part: PrincipalPart2, layer: int) -> tuple[np.ndarray, ...]:
+    """Row order, solvable positions in layer + 2 and the inverse block of solve_layer."""
+    dim, k = part.dim, part.pivot
+    rows = monomials_of_degree(dim, layer)
+    order = np.array(sorted(range(len(rows)), key=lambda r: rows[r][k]), dtype=np.int64)
+    target = {index: i for i, index in enumerate(monomials_of_degree(dim, layer + 2))}
+    positions = np.array(
+        [target[tuple(e + 2 if axis == k else e for axis, e in enumerate(rows[r]))] for r in order],
+        dtype=np.int64,
+    )
+    full = operator_matrix(part, layer + 2)
+    block = full[np.ix_(
+        space_dimension(dim, layer - 1) + order,
+        space_dimension(dim, layer + 1) + positions,
+    )]
+    inverse = np.zeros_like(block)
+    identity = np.eye(len(rows), dtype=complex)
+    for r in range(len(rows)):
+        inverse[r] = (identity[r] - block[r, :r] @ inverse[:r]) / block[r, r]
+    for array in (order, positions, inverse):
+        array.setflags(write=False)
+    return order, positions, inverse
 
 
 def operator_matrix(part: PrincipalPart2, degree: int) -> np.ndarray:
     """Matrix of the principal part from degree <= degree to degree <= degree - 2,
     in graded-lex monomial bases."""
-    columns = monomials_up_to(part.dim, degree)
-    rows = monomials_up_to(part.dim, degree - 2)
-    row_of = {index: i for i, index in enumerate(rows)}
-    matrix = np.zeros((len(rows), len(columns)), dtype=complex)
-    for c, index in enumerate(columns):
-        image = part.apply(GradedPoly.monomial(part.dim, index))
-        for out_index, value in image.coeffs.items():
-            matrix[row_of[out_index], c] = value
+    rows = space_dimension(part.dim, degree - 2)
+    matrix = np.zeros((rows, space_dimension(part.dim, degree)), dtype=complex)
+    for index, value in sorted(part.coeffs.items()):
+        source, factor = derivative_table(part.dim, degree, index)
+        matrix[np.arange(rows), source] += value * factor
     return matrix
 
 

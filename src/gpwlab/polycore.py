@@ -1,26 +1,46 @@
-"""Sparse complex polynomial algebra in centered coordinates.
+"""Complex polynomial algebra in centered coordinates, over dense coefficient vectors.
 
-Polynomials live in coordinates X = x - center and are stored as sparse
-mappings from exponent tuples to complex coefficients.  Every polynomial
-decomposes uniquely into homogeneous layers by total degree; the rest of
-the package manipulates those layers.  All operations allocate fresh
-values and nothing is mutated after construction, so polynomials are safe
-to share across concurrent tasks.
+Polynomials live in coordinates X = x - center.  A polynomial of degree at
+most ``cap`` in ``dim`` variables is stored as one complex128 vector over
+the graded-lex monomial basis up to ``cap``, in the order of
+:func:`monomials_up_to`: every monomial of degree 0, then of degree 1, and
+so on.  The homogeneous layer of each degree is therefore one contiguous
+slice, and truncation keeps a prefix.  :class:`HomogeneousPoly` is such a
+slice on its own.
+
+The kernels are gathers over index tables that depend only on the
+dimension and the degrees involved.  Each table is built once, with numpy,
+and cached:
+
+* per ``(dim, cap)``: the exponent array, the degree of each entry and a
+  rank map from exponents to positions;
+* per ``(dim, cap_a, cap_b, bound)``: the term pairs ``(ia, ib)`` of a
+  truncated product whose degrees sum to at most the bound, and the
+  position of each pair's product.  A product is ``a[ia] * b[ib]`` reduced
+  with ``np.bincount``, so pairs the bound discards are never visited;
+* per ``(dim, cap, index)``: the source positions and falling-factorial
+  factors of a derivative, which is one gather and scale;
+* per ``(dim, cap)``: the pairs and binomials of the re-expansion about a
+  shifted origin.
+
+Evaluation is a Vandermonde matrix times the vector.  Sums over term pairs
+run in graded-lex pair order.  Every stored vector is read-only and every
+operation allocates a fresh value, so polynomials are safe to share across
+concurrent tasks.
 """
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 MultiIndex = tuple[int, ...]
 
 Scalar = complex | float | int
-
-
-def total_degree(index: MultiIndex) -> int:
-    return sum(index)
 
 
 def graded_lex_key(index: MultiIndex) -> tuple[int, MultiIndex]:
@@ -76,57 +96,162 @@ def _clean(dim: int, coeffs: Mapping[MultiIndex, Scalar]) -> dict[MultiIndex, co
     return clean
 
 
-@dataclass(frozen=True)
-class HomogeneousPoly:
-    """One graded layer: coefficients over exponents of a fixed total degree."""
+# -- cached index tables ---------------------------------------------------
+#
+# The caches are unbounded: their keys are a dimension and a few degrees, so
+# a run holds one table per combination of degrees it uses.
 
-    dim: int
-    degree: int
-    coeffs: Mapping[MultiIndex, complex]
 
-    def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValueError("dimension must be at least 1")
-        if self.degree < 0:
-            raise ValueError("degree must be non-negative")
-        clean = _clean(self.dim, self.coeffs)
-        for index in clean:
-            if sum(index) != self.degree:
-                raise ValueError(
-                    f"exponent {index} has degree {sum(index)}, expected {self.degree}"
-                )
-        object.__setattr__(self, "coeffs", clean)
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
-    @classmethod
-    def zero(cls, dim: int, degree: int) -> "HomogeneousPoly":
-        return cls(dim, degree, {})
+
+_EMPTY = _frozen(np.zeros(0, dtype=complex))
+
+
+class _Basis(NamedTuple):
+    """The graded-lex monomials of degree <= cap in one dimension."""
+
+    monomials: tuple[MultiIndex, ...]
+    position: Mapping[MultiIndex, int]
+    exponents: np.ndarray  # (size, dim)
+    degrees: np.ndarray  # (size,)
+    radix: np.ndarray  # mixed-radix weights: every exponent is <= cap
+    sorted_keys: np.ndarray
+    key_order: np.ndarray
+
+    def rank(self, exponents: np.ndarray) -> np.ndarray:
+        """Positions of exponent rows, each of total degree <= cap."""
+        return self.key_order[np.searchsorted(self.sorted_keys, exponents @ self.radix)]
+
+
+@lru_cache(maxsize=None)
+def _basis(dim: int, cap: int) -> _Basis:
+    monomials = tuple(monomials_up_to(dim, cap))
+    exponents = np.array(monomials, dtype=np.int64).reshape(len(monomials), dim)
+    radix = (max(cap, 0) + 1) ** np.arange(dim, dtype=np.int64)
+    keys = exponents @ radix
+    order = np.argsort(keys)
+    return _Basis(
+        monomials,
+        MappingProxyType({index: i for i, index in enumerate(monomials)}),
+        _frozen(exponents),
+        _frozen(exponents.sum(axis=1)),
+        _frozen(radix),
+        _frozen(keys[order]),
+        _frozen(order),
+    )
+
+
+@lru_cache(maxsize=None)
+def _product_table(dim: int, cap_a: int, cap_b: int, top: int) -> tuple[np.ndarray, ...]:
+    """Pairs (ia, ib) with deg a + deg b <= top, ia-major, and each product's position."""
+    a, b = _basis(dim, cap_a), _basis(dim, cap_b)
+    ia, ib = np.nonzero(a.degrees[:, None] + b.degrees[None, :] <= top)
+    out = _basis(dim, top).rank(a.exponents[ia] + b.exponents[ib])
+    return _frozen(ia), _frozen(ib), _frozen(out)
+
+
+@lru_cache(maxsize=None)
+def derivative_table(dim: int, cap: int, index: MultiIndex) -> tuple[np.ndarray, np.ndarray]:
+    """Gather table of D^index from degree <= cap to degree <= cap - |index|.
+
+    Coefficient i of the derivative is ``factor[i] * vec[source[i]]``;
+    returns the read-only arrays ``(source, factor)``.
+    """
+    source = _basis(dim, cap - sum(index)).exponents + np.array(index, dtype=np.int64)
+    factor = np.ones(len(source))
+    for axis, k in enumerate(index):
+        for step in range(k):
+            factor *= source[:, axis] - step
+    return _frozen(_basis(dim, cap).rank(source)), _frozen(factor)
+
+
+@lru_cache(maxsize=None)
+def _shift_table(dim: int, cap: int) -> tuple[np.ndarray, ...]:
+    """Pairs (ia, ib) with exponent b <= exponent a, ia-major, their a - b and binomials."""
+    exponents = _basis(dim, cap).exponents
+    ia, ib = np.nonzero(np.all(exponents[None, :, :] <= exponents[:, None, :], axis=2))
+    pascal = np.array([[math.comb(n, k) for k in range(cap + 1)] for n in range(cap + 1)])
+    binomial = np.prod(pascal[exponents[ia], exponents[ib]], axis=1).astype(float)
+    return _frozen(ia), _frozen(ib), _frozen(exponents[ia] - exponents[ib]), _frozen(binomial)
+
+
+def _vandermonde(dim: int, cap: int, points: np.ndarray) -> np.ndarray:
+    """Rows: points; columns: the graded-lex monomials of degree <= cap at each point."""
+    exponents = _basis(dim, cap).exponents
+    matrix = np.ones((len(points), len(exponents)), dtype=points.dtype)
+    powers = np.arange(cap + 1)
+    for axis in range(dim):
+        matrix *= (points[:, axis, None] ** powers)[:, exponents[:, axis]]
+    return matrix
+
+
+def _as_points(points: Sequence[Sequence[Scalar]] | np.ndarray, dim: int) -> np.ndarray:
+    points = np.asarray(points)
+    if points.ndim != 2 or points.shape[1] != dim:
+        raise ValueError(f"points must have shape (n, {dim}), got {points.shape}")
+    return points.astype(complex if np.iscomplexobj(points) else float)
+
+
+def _reduce(positions: np.ndarray, terms: np.ndarray, size: int) -> np.ndarray:
+    """Complex sums of terms by position, each in the order the terms are listed."""
+    out = np.empty(size, dtype=complex)
+    out.real = np.bincount(positions, terms.real, size)
+    out.imag = np.bincount(positions, terms.imag, size)
+    return out
+
+
+def _padded(vec: np.ndarray, size: int) -> np.ndarray:
+    if len(vec) == size:
+        return vec
+    out = np.zeros(size, dtype=complex)
+    out[: len(vec)] = vec
+    return out
+
+
+def _cap_of(dim: int, size: int) -> int:
+    cap = -1
+    while space_dimension(dim, cap) < size:
+        cap += 1
+    if space_dimension(dim, cap) != size:
+        raise ValueError(f"{size} coefficients fill no degree cap in dimension {dim}")
+    return cap
+
+
+# -- polynomials -----------------------------------------------------------
+
+
+class _Poly:
+    """Shared read-only storage: ``dim`` and one complex128 coefficient vector ``vec``."""
+
+    __slots__ = ("dim", "vec", "_coeffs")
+    __hash__ = None  # type: ignore[assignment]
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _monomials(self) -> Sequence[MultiIndex]:
+        raise NotImplementedError
+
+    @property
+    def coeffs(self) -> Mapping[MultiIndex, complex]:
+        """Read-only mapping of the non-zero terms, graded-lex ordered."""
+        if self._coeffs is None:
+            nonzero = np.flatnonzero(self.vec)
+            monomials = self._monomials()
+            terms = dict(zip([monomials[i] for i in nonzero], self.vec[nonzero].tolist()))
+            object.__setattr__(self, "_coeffs", MappingProxyType(terms))
+        return self._coeffs
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.vec.any())
 
-    def __add__(self, other: "HomogeneousPoly") -> "HomogeneousPoly":
-        if not isinstance(other, HomogeneousPoly):
-            return NotImplemented
-        if other.dim != self.dim or other.degree != self.degree:
-            raise ValueError("layers must share dimension and degree")
-        merged = dict(self.coeffs)
-        for index, value in other.coeffs.items():
-            merged[index] = merged.get(index, 0j) + value
-        return HomogeneousPoly(self.dim, self.degree, merged)
-
-    def __neg__(self) -> "HomogeneousPoly":
+    def __neg__(self):
         return self.scaled(-1)
 
-    def __sub__(self, other: "HomogeneousPoly") -> "HomogeneousPoly":
-        return self + (-other)
-
-    def scaled(self, factor: Scalar) -> "HomogeneousPoly":
-        factor = complex(factor)
-        return HomogeneousPoly(
-            self.dim, self.degree, {j: factor * c for j, c in self.coeffs.items()}
-        )
-
-    def __mul__(self, factor: Scalar) -> "HomogeneousPoly":
+    def __mul__(self, factor: Scalar):
         if isinstance(factor, (int, float, complex)):
             return self.scaled(factor)
         return NotImplemented
@@ -134,32 +259,149 @@ class HomogeneousPoly:
     __rmul__ = __mul__
 
     def max_abs(self) -> float:
-        return max((abs(c) for c in self.coeffs.values()), default=0.0)
+        return float(np.abs(self.vec).max()) if self.vec.size else 0.0
 
     def items_sorted(self) -> list[tuple[MultiIndex, complex]]:
-        return sorted(self.coeffs.items(), key=lambda item: graded_lex_key(item[0]))
+        return list(self.coeffs.items())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.dim}, {dict(self.coeffs)!r})"
+
+
+def _graded(dim: int, cap: int, vec: np.ndarray) -> "GradedPoly":
+    """Unvalidated constructor for results of the kernels; takes ownership of vec."""
+    poly = object.__new__(GradedPoly)
+    poly.__post_init__(dim, cap, vec)
+    return poly
+
+
+def _homogeneous(dim: int, degree: int, vec: np.ndarray) -> "HomogeneousPoly":
+    poly = object.__new__(HomogeneousPoly)
+    poly.__post_init__(dim, degree, vec)
+    return poly
+
+
+class HomogeneousPoly(_Poly):
+    """One graded layer: the slice of a graded-lex vector at one total degree."""
+
+    __slots__ = ("degree",)
+
+    def __init__(self, dim: int, degree: int, coeffs: Mapping[MultiIndex, Scalar]) -> None:
+        if dim < 1:
+            raise ValueError("dimension must be at least 1")
+        if degree < 0:
+            raise ValueError("degree must be non-negative")
+        offset = space_dimension(dim, degree - 1)
+        position = _basis(dim, degree).position
+        vec = np.zeros(layer_dimension(dim, degree), dtype=complex)
+        for index, value in _clean(dim, coeffs).items():
+            if sum(index) != degree:
+                raise ValueError(
+                    f"exponent {index} has degree {sum(index)}, expected {degree}"
+                )
+            vec[position[index] - offset] = value
+        self.__post_init__(dim, degree, vec)
+
+    def __post_init__(self, dim: int, degree: int, vec: np.ndarray) -> None:
+        """Every constructor ends here: store the fields, make the vector read-only."""
+        vec.setflags(write=False)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "vec", vec)
+        object.__setattr__(self, "_coeffs", None)
+
+    @classmethod
+    def zero(cls, dim: int, degree: int) -> "HomogeneousPoly":
+        return cls(dim, degree, {})
+
+    @classmethod
+    def from_vector(cls, dim: int, degree: int, vec: Sequence[Scalar]) -> "HomogeneousPoly":
+        """Layer from its coefficients in graded-lex order; the values are copied."""
+        if dim < 1 or degree < 0:
+            raise ValueError("need dimension >= 1 and degree >= 0")
+        vec = np.array(vec, dtype=complex)
+        if vec.shape != (layer_dimension(dim, degree),):
+            raise ValueError(
+                f"layer {degree} in dimension {dim} needs "
+                f"{layer_dimension(dim, degree)} coefficients"
+            )
+        return _homogeneous(dim, degree, vec)
+
+    def __reduce__(self):
+        return (HomogeneousPoly.from_vector, (self.dim, self.degree, self.vec))
+
+    def _monomials(self) -> Sequence[MultiIndex]:
+        return _basis(self.dim, self.degree).monomials[space_dimension(self.dim, self.degree - 1):]
+
+    def _check_layer(self, other: "HomogeneousPoly") -> None:
+        if other.dim != self.dim or other.degree != self.degree:
+            raise ValueError("layers must share dimension and degree")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, HomogeneousPoly):
+            return NotImplemented
+        return (
+            self.dim == other.dim
+            and self.degree == other.degree
+            and bool(np.array_equal(self.vec, other.vec))
+        )
+
+    def __add__(self, other: "HomogeneousPoly") -> "HomogeneousPoly":
+        if not isinstance(other, HomogeneousPoly):
+            return NotImplemented
+        self._check_layer(other)
+        return _homogeneous(self.dim, self.degree, self.vec + other.vec)
+
+    def __sub__(self, other: "HomogeneousPoly") -> "HomogeneousPoly":
+        if not isinstance(other, HomogeneousPoly):
+            return NotImplemented
+        self._check_layer(other)
+        return _homogeneous(self.dim, self.degree, self.vec - other.vec)
+
+    def scaled(self, factor: Scalar) -> "HomogeneousPoly":
+        return _homogeneous(self.dim, self.degree, self.vec * complex(factor))
 
     def as_graded(self) -> "GradedPoly":
-        return GradedPoly(self.dim, dict(self.coeffs))
+        vec = np.zeros(space_dimension(self.dim, self.degree), dtype=complex)
+        vec[space_dimension(self.dim, self.degree - 1):] = self.vec
+        return _graded(self.dim, self.degree, vec)
 
 
-@dataclass(frozen=True)
-class GradedPoly:
-    """Sparse polynomial, viewed as the direct sum of its homogeneous layers."""
+class GradedPoly(_Poly):
+    """Polynomial of degree <= cap, viewed as the direct sum of its homogeneous layers.
 
-    dim: int
-    coeffs: Mapping[MultiIndex, complex]
+    ``vec`` holds the coefficients of every monomial of degree <= ``cap`` in
+    graded-lex order; layers above the true degree may be zero.
+    """
 
-    def __post_init__(self) -> None:
-        if self.dim < 1:
+    __slots__ = ("cap",)
+
+    def __init__(self, dim: int, coeffs: Mapping[MultiIndex, Scalar]) -> None:
+        if dim < 1:
             raise ValueError("dimension must be at least 1")
-        object.__setattr__(self, "coeffs", _clean(self.dim, self.coeffs))
+        clean = _clean(dim, coeffs)
+        cap = max(map(sum, clean), default=-1)
+        position = _basis(dim, cap).position
+        vec = np.zeros(space_dimension(dim, cap), dtype=complex)
+        for index, value in clean.items():
+            vec[position[index]] = value
+        self.__post_init__(dim, cap, vec)
+
+    def __post_init__(self, dim: int, cap: int, vec: np.ndarray) -> None:
+        """Every constructor ends here: store the fields, make the vector read-only."""
+        vec.setflags(write=False)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "cap", cap)
+        object.__setattr__(self, "vec", vec)
+        object.__setattr__(self, "_coeffs", None)
 
     # -- construction -------------------------------------------------
 
     @classmethod
     def zero(cls, dim: int) -> "GradedPoly":
-        return cls(dim, {})
+        if dim < 1:
+            raise ValueError("dimension must be at least 1")
+        return _graded(dim, -1, _EMPTY)
 
     @classmethod
     def constant(cls, dim: int, value: Scalar) -> "GradedPoly":
@@ -177,88 +419,95 @@ class GradedPoly:
         return cls(dim, {tuple(index): complex(value)})
 
     @classmethod
-    def from_layers(cls, layers: Iterable[HomogeneousPoly]) -> "GradedPoly":
-        layers = list(layers)
-        if not layers:
-            raise ValueError("need at least one layer")
-        dim = layers[0].dim
-        merged: dict[MultiIndex, complex] = {}
-        for layer in layers:
-            if layer.dim != dim:
-                raise ValueError("layers must share one dimension")
-            for index, value in layer.coeffs.items():
-                merged[index] = merged.get(index, 0j) + value
-        return cls(dim, merged)
+    def from_vector(cls, dim: int, vec: Sequence[Scalar]) -> "GradedPoly":
+        """Polynomial from graded-lex coefficients of every monomial up to a degree cap.
+
+        The length of ``vec`` must be ``space_dimension(dim, cap)`` for some
+        cap; the values are copied.
+        """
+        if dim < 1:
+            raise ValueError("dimension must be at least 1")
+        vec = np.array(vec, dtype=complex)
+        if vec.ndim != 1:
+            raise ValueError("coefficients must form one vector")
+        return _graded(dim, _cap_of(dim, len(vec)), vec)
+
+    def __reduce__(self):
+        return (GradedPoly.from_vector, (self.dim, self.vec))
+
+    def _monomials(self) -> Sequence[MultiIndex]:
+        return _basis(self.dim, self.cap).monomials
 
     # -- ring operations ----------------------------------------------
 
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GradedPoly):
+            return NotImplemented
+        if other.dim != self.dim:
+            return False
+        long, short = (self.vec, other.vec) if self.cap >= other.cap else (other.vec, self.vec)
+        return bool(np.array_equal(long[: len(short)], short) and not long[len(short):].any())
 
     def __add__(self, other: "GradedPoly") -> "GradedPoly":
         if not isinstance(other, GradedPoly):
             return NotImplemented
         if other.dim != self.dim:
             raise ValueError("dimension mismatch")
-        merged = dict(self.coeffs)
-        for index, value in other.coeffs.items():
-            merged[index] = merged.get(index, 0j) + value
-        return GradedPoly(self.dim, merged)
-
-    def __neg__(self) -> "GradedPoly":
-        return self.scaled(-1)
+        cap = max(self.cap, other.cap)
+        size = space_dimension(self.dim, cap)
+        return _graded(self.dim, cap, _padded(self.vec, size) + _padded(other.vec, size))
 
     def __sub__(self, other: "GradedPoly") -> "GradedPoly":
         if not isinstance(other, GradedPoly):
             return NotImplemented
-        return self + (-other)
+        if other.dim != self.dim:
+            raise ValueError("dimension mismatch")
+        cap = max(self.cap, other.cap)
+        size = space_dimension(self.dim, cap)
+        return _graded(self.dim, cap, _padded(self.vec, size) - _padded(other.vec, size))
 
     def scaled(self, factor: Scalar) -> "GradedPoly":
-        factor = complex(factor)
-        return GradedPoly(self.dim, {j: factor * c for j, c in self.coeffs.items()})
+        return _graded(self.dim, self.cap, self.vec * complex(factor))
 
     def __mul__(self, other: "GradedPoly | Scalar") -> "GradedPoly":
-        if isinstance(other, (int, float, complex)):
-            return self.scaled(other)
         if isinstance(other, GradedPoly):
             return self.mul_truncated(other, None)
-        return NotImplemented
-
-    def __rmul__(self, other: Scalar) -> "GradedPoly":
-        if isinstance(other, (int, float, complex)):
-            return self.scaled(other)
-        return NotImplemented
+        return _Poly.__mul__(self, other)
 
     def mul_truncated(self, other: "GradedPoly", bound: int | None) -> "GradedPoly":
         """Product keeping only layers of total degree <= bound (None: exact)."""
         if other.dim != self.dim:
             raise ValueError("dimension mismatch")
-        out: dict[MultiIndex, complex] = {}
-        for ja, ca in self.coeffs.items():
-            deg_a = sum(ja)
-            if bound is not None and deg_a > bound:
-                continue
-            for jb, cb in other.coeffs.items():
-                if bound is not None and deg_a + sum(jb) > bound:
-                    continue
-                key = tuple(a + b for a, b in zip(ja, jb))
-                out[key] = out.get(key, 0j) + ca * cb
-        return GradedPoly(self.dim, out)
+        top = self.cap + other.cap if bound is None else min(bound, self.cap + other.cap)
+        if self.cap < 0 or other.cap < 0 or top < 0:
+            return _graded(self.dim, -1, _EMPTY)
+        ia, ib, out = _product_table(self.dim, min(self.cap, top), min(other.cap, top), top)
+        terms = self.vec[ia] * other.vec[ib]
+        return _graded(self.dim, top, _reduce(out, terms, space_dimension(self.dim, top)))
 
     # -- grading ------------------------------------------------------
 
     @property
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        return max((sum(j) for j in self.coeffs), default=-1)
+        nonzero = np.flatnonzero(self.vec)
+        return int(_basis(self.dim, self.cap).degrees[nonzero[-1]]) if nonzero.size else -1
 
     def truncate(self, bound: int) -> "GradedPoly":
         """Keep layers 0..bound; negative bounds give the zero polynomial."""
-        return GradedPoly(self.dim, {j: c for j, c in self.coeffs.items() if sum(j) <= bound})
+        if bound >= self.cap:
+            return self
+        cap = max(bound, -1)
+        return _graded(self.dim, cap, self.vec[: space_dimension(self.dim, cap)])
 
     def layer(self, degree: int) -> HomogeneousPoly:
-        return HomogeneousPoly(
-            self.dim, degree, {j: c for j, c in self.coeffs.items() if sum(j) == degree}
+        if degree < 0:
+            raise ValueError("degree must be non-negative")
+        if degree > self.cap:
+            return HomogeneousPoly.zero(self.dim, degree)
+        start = space_dimension(self.dim, degree - 1)
+        return _homogeneous(
+            self.dim, degree, self.vec[start: start + layer_dimension(self.dim, degree)]
         )
 
     def layers(self) -> Iterator[HomogeneousPoly]:
@@ -272,17 +521,13 @@ class GradedPoly:
         index = tuple(index)
         if len(index) != self.dim:
             raise ValueError("dimension mismatch")
-        out: dict[MultiIndex, complex] = {}
-        for j, c in self.coeffs.items():
-            if any(e < k for e, k in zip(j, index)):
-                continue
-            factor = 1
-            for e, k in zip(j, index):
-                for step in range(k):
-                    factor *= e - step
-            key = tuple(e - k for e, k in zip(j, index))
-            out[key] = out.get(key, 0j) + factor * c
-        return GradedPoly(self.dim, out)
+        if min(index) < 0:
+            raise ValueError(f"negative derivative order in {index}")
+        cap = self.cap - sum(index)
+        if cap < 0:
+            return _graded(self.dim, -1, _EMPTY)
+        source, factor = derivative_table(self.dim, self.cap, index)
+        return _graded(self.dim, cap, self.vec[source] * factor)
 
     def partial(self, axis: int) -> "GradedPoly":
         return self.derive(tuple(1 if i == axis else 0 for i in range(self.dim)))
@@ -307,44 +552,23 @@ class GradedPoly:
     def evaluate(self, point: Sequence[Scalar]) -> complex:
         if len(point) != self.dim:
             raise ValueError("dimension mismatch")
-        total = 0j
-        for j, c in self.items_sorted():
-            term = c
-            for x, e in zip(point, j):
-                if e:
-                    term *= complex(x) ** e
-            total += term
-        return total
+        return complex(self.evaluate_many([point])[0])
+
+    def evaluate_many(self, points: Sequence[Sequence[Scalar]] | np.ndarray) -> np.ndarray:
+        """Values at the rows of an (n, dim) array of points, as a complex vector."""
+        points = _as_points(points, self.dim)
+        return _vandermonde(self.dim, self.cap, points) @ self.vec
 
     def shifted(self, offset: Sequence[Scalar]) -> "GradedPoly":
         """Re-expand around a shifted origin: returns Q with Q(X) = P(X + offset)."""
-        if len(offset) != self.dim:
-            raise ValueError("dimension mismatch")
-        out = GradedPoly.zero(self.dim)
-        for j, c in self.items_sorted():
-            term = GradedPoly.constant(self.dim, c)
-            for axis, e in enumerate(j):
-                if e == 0:
-                    continue
-                base = GradedPoly(
-                    self.dim,
-                    {
-                        tuple(1 if i == axis else 0 for i in range(self.dim)): 1.0,
-                        (0,) * self.dim: complex(offset[axis]),
-                    },
-                )
-                for _ in range(e):
-                    term = term.mul_truncated(base, None)
-            out = out + term
-        return out
+        offset = _as_points([offset], self.dim)[0]
+        if self.cap < 0:
+            return self
+        ia, ib, gap, binomial = _shift_table(self.dim, self.cap)
+        terms = self.vec[ia] * (binomial * np.prod(offset**gap, axis=1))
+        return _graded(self.dim, self.cap, _reduce(ib, terms, len(self.vec)))
 
-    # -- inspection and serialization ----------------------------------
-
-    def max_abs(self) -> float:
-        return max((abs(c) for c in self.coeffs.values()), default=0.0)
-
-    def items_sorted(self) -> list[tuple[MultiIndex, complex]]:
-        return sorted(self.coeffs.items(), key=lambda item: graded_lex_key(item[0]))
+    # -- serialization --------------------------------------------------
 
     def to_records(self) -> list[dict]:
         """Graded-lex ordered list of {exponents, re, im} records."""
@@ -362,8 +586,3 @@ class GradedPoly:
                 float(record["re"]), float(record["im"])
             )
         return cls(dim, coeffs)
-
-
-def coeff_distance(a: GradedPoly, b: GradedPoly) -> float:
-    """Largest coefficient magnitude of a - b."""
-    return (a - b).max_abs()

@@ -187,11 +187,12 @@ class TestRecords:
             assert restored.degree == original.degree
             assert (restored.phase - original.phase).max_abs() == 0.0
             assert restored.residual_norm == original.residual_norm
+            assert restored.operator == original.operator == "helmholtz"
 
     def test_record_fields(self):
         split = constant_split(degree=2)
         record = family_to_records(build_family(split, [(1.0, 0.0)]))[0]
-        assert set(record) == {"direction", "x0", "p", "phase", "residual_norm"}
+        assert set(record) == {"direction", "x0", "p", "operator", "phase", "residual_norm"}
         assert record["p"] == 2
 
     def test_complex_direction_roundtrip(self):

@@ -101,6 +101,15 @@ class TestBuild:
         )
         assert main(["build", "--config", str(config), "--out", str(tmp_path)]) == 2
 
+    def test_coefficient_above_run_degree_rejected(self, tmp_path):
+        # polynomials are stored densely up to their degree: a huge exponent
+        # must be refused before any storage is sized
+        records = [{"exponents": [10**9, 0], "re": 1.0, "im": 0.0}]
+        config = write_config(
+            tmp_path / "c.json", operator={"type": "helmholtz", "kappa_sq_jet": records}
+        )
+        assert main(["build", "--config", str(config), "--out", str(tmp_path)]) == 2
+
 
 class TestVerify:
     def test_round_trip(self, tmp_path):
@@ -125,6 +134,16 @@ class TestVerify:
         report = json.loads((out / "report.json").read_text())
         failing = [f["index"] for f in report["functions"] if not f["passed"]]
         assert failing == [4]
+
+    def test_phase_above_run_degree_is_config_error(self, tmp_path):
+        config = write_config(tmp_path / "c.json")
+        out = tmp_path / "out"
+        main(["build", "--config", str(config), "--out", str(out), "--quiet"])
+        basis_path = out / "basis.json"
+        records = json.loads(basis_path.read_text())
+        records[0]["phase"].append({"exponents": [10**9, 0], "re": 1.0, "im": 0.0})
+        basis_path.write_text(json.dumps(records))
+        assert main(["verify", "--config", str(config), "--out", str(out), "--quiet"]) == 2
 
     def test_missing_basis_is_config_error(self, tmp_path):
         config = write_config(tmp_path / "c.json")

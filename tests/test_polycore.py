@@ -224,3 +224,198 @@ def test_graded_consistency(p):
 def test_truncate_idempotent(p, bound):
     once = p.truncate(bound)
     assert once.truncate(bound) == once
+
+
+# -- the vector kernel against a dict-of-tuples reference -------------------
+#
+# The reference is the sparse implementation the vector core replaced.
+# Structural results (degree, layers, truncation) must agree exactly; sums
+# of products run in another order, so coefficients agree to a tolerance
+# fixed from complex128 rounding of at most a few hundred products of
+# magnitude <= 4.
+
+TOL = 1e-12
+
+
+def ref_mul(a, b, bound):
+    out = {}
+    for ja, ca in a.items():
+        for jb, cb in b.items():
+            if bound is None or sum(ja) + sum(jb) <= bound:
+                key = tuple(x + y for x, y in zip(ja, jb))
+                out[key] = out.get(key, 0j) + ca * cb
+    return out
+
+
+def ref_derive(a, index):
+    out = {}
+    for j, c in a.items():
+        if all(e >= k for e, k in zip(j, index)):
+            factor = 1
+            for e, k in zip(j, index):
+                for step in range(k):
+                    factor *= e - step
+            out[tuple(e - k for e, k in zip(j, index))] = factor * c
+    return out
+
+
+def ref_evaluate(a, point):
+    total = 0j
+    for j, c in a.items():
+        term = c
+        for x, e in zip(point, j):
+            term *= complex(x) ** e
+        total += term
+    return total
+
+
+def assert_matches(poly, reference, tol=TOL):
+    keys = set(poly.coeffs) | set(reference)
+    for key in keys:
+        assert abs(poly.coeffs.get(key, 0j) - reference.get(key, 0j)) <= tol, key
+
+
+def points_for(dim, count, seed=0):
+    return np.random.default_rng(seed).uniform(-1.0, 1.0, (count, dim))
+
+
+dims = st.integers(1, 3)
+
+
+@given(st.data(), dims, st.one_of(st.none(), st.integers(-2, 9)))
+def test_mul_truncated_matches_reference(data, dim, bound):
+    p = data.draw(graded_polys(dim=dim))
+    q = data.draw(graded_polys(dim=dim))
+    got = p.mul_truncated(q, bound)
+    assert_matches(got, ref_mul(p.coeffs, q.coeffs, bound))
+    if bound is not None and bound < 0:
+        assert not got and got.degree == -1
+
+
+@given(st.data(), dims)
+def test_bound_below_operand_degrees(data, dim):
+    p = data.draw(graded_polys(dim=dim, max_degree=5))
+    q = data.draw(graded_polys(dim=dim, max_degree=5))
+    bound = max(min(p.degree, q.degree) - 1, 0)
+    got = p.mul_truncated(q, bound)
+    assert got.degree <= bound
+    assert_matches(got, ref_mul(p.coeffs, q.coeffs, bound))
+
+
+@given(st.data(), dims, st.lists(st.integers(0, 6), min_size=3, max_size=3))
+def test_derive_matches_reference_beyond_degree(data, dim, orders):
+    p = data.draw(graded_polys(dim=dim))
+    index = tuple(orders[:dim])
+    got = p.derive(index)
+    assert got.coeffs == ref_derive(p.coeffs, index)
+    if sum(index) > p.degree:
+        assert not got
+
+
+@given(st.data(), dims)
+def test_evaluate_and_evaluate_many_match_reference(data, dim):
+    p = data.draw(graded_polys(dim=dim))
+    points = points_for(dim, 7)
+    batch = p.evaluate_many(points)
+    assert batch.shape == (7,)
+    for point, value in zip(points, batch):
+        expected = ref_evaluate(p.coeffs, point)
+        assert abs(p.evaluate(tuple(point)) - expected) <= TOL
+        assert abs(value - expected) <= TOL
+
+
+@given(st.data(), dims)
+def test_shifted_matches_shifted_evaluation(data, dim):
+    p = data.draw(graded_polys(dim=dim))
+    offset = tuple(points_for(dim, 1, seed=1)[0])
+    shifted = p.shifted(offset)
+    assert shifted.degree == p.degree
+    for point in points_for(dim, 5, seed=2):
+        moved = tuple(x + o for x, o in zip(point, offset))
+        assert abs(shifted.evaluate(tuple(point)) - ref_evaluate(p.coeffs, moved)) <= 1e-11
+
+
+@given(st.data(), dims, st.integers(-2, 6))
+def test_grading_matches_reference(data, dim, bound):
+    p = data.draw(graded_polys(dim=dim))
+    reference = dict(p.coeffs)
+    assert p.degree == max((sum(j) for j in reference), default=-1)
+    assert p.truncate(bound).coeffs == {j: c for j, c in reference.items() if sum(j) <= bound}
+    if bound >= 0:
+        layer = p.layer(bound)
+        assert layer.degree == bound
+        assert layer.coeffs == {j: c for j, c in reference.items() if sum(j) == bound}
+
+
+@given(st.data(), dims)
+def test_equality_ignores_storage_cap(data, dim):
+    p = data.draw(graded_polys(dim=dim))
+    one = GradedPoly.constant(dim, 1.0)
+    padded = p.mul_truncated(one, p.degree + 3)  # same terms, higher degree cap
+    assert padded == p and p == padded
+    assert p == GradedPoly(dim, dict(p.coeffs))
+    bumped = p + GradedPoly.monomial(dim, (0,) * (dim - 1) + (5,), 1.0)
+    assert bumped != p
+
+
+@given(st.data(), dims)
+def test_records_roundtrip_all_dims(data, dim):
+    p = data.draw(graded_polys(dim=dim))
+    assert GradedPoly.from_records(dim, p.to_records()) == p
+
+
+def test_zero_polynomial_degree():
+    for dim in (1, 2, 3):
+        zero = GradedPoly.zero(dim)
+        assert zero.degree == -1
+        assert zero.evaluate_many(points_for(dim, 3)).tolist() == [0j, 0j, 0j]
+
+
+class TestImmutability:
+    def test_vectors_are_read_only(self):
+        p = poly({(2, 0): 1.0, (0, 1): 2j})
+        results = [
+            p,
+            p + X,
+            p - X,
+            p.scaled(2.0),
+            p.mul_truncated(p, 3),
+            p.derive((1, 0)),
+            p.truncate(1),
+            p.shifted((0.5, 0.5)),
+            GradedPoly.from_vector(2, [1.0, 2.0, 3.0]),
+        ]
+        for value in results + [p.layer(2), p.layer(2) + p.layer(2), p.layer(2).scaled(3)]:
+            with pytest.raises(ValueError):
+                value.vec[0] = 5.0
+        assert p.coeffs == {(0, 1): 2j, (2, 0): 1 + 0j}
+
+    def test_fields_and_coeffs_cannot_be_assigned(self):
+        p = poly({(1, 0): 1.0})
+        with pytest.raises(AttributeError):
+            p.dim = 3
+        with pytest.raises(TypeError):
+            p.coeffs[(1, 0)] = 2.0
+
+    def test_from_vector_copies(self):
+        source = np.array([1.0, 2.0, 3.0], dtype=complex)
+        p = GradedPoly.from_vector(2, source)
+        source[0] = 9.0
+        assert p.coeffs[(0, 0)] == 1.0
+
+
+class TestVectorLayout:
+    def test_graded_lex_positions(self):
+        p = poly({(0, 0): 1.0, (1, 0): 2.0, (0, 2): 3.0})
+        assert p.vec.tolist() == [1, 0, 2, 3, 0, 0]
+        assert p.layer(1).vec.tolist() == [0, 2]
+
+    def test_from_vector_rejects_partial_cap(self):
+        with pytest.raises(ValueError):
+            GradedPoly.from_vector(2, [1.0, 2.0])
+        with pytest.raises(ValueError):
+            HomogeneousPoly.from_vector(2, 2, [1.0, 2.0])
+
+    def test_evaluate_many_checks_shape(self):
+        with pytest.raises(ValueError):
+            X.evaluate_many([(1.0, 2.0, 3.0)])
