@@ -15,8 +15,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .basis import GpwFunction, unit_sphere_directions
-from .operators import CoefficientJet
+from .basis import ExpPhase, GpwFunction, unit_sphere_directions
+from .operators import CoefficientJet, helmholtz_image
 from .polycore import GradedPoly, space_dimension
 
 
@@ -117,22 +117,6 @@ def rank_comparison(
 
 
 @dataclass(frozen=True)
-class ExpPhase:
-    """x -> exp(phase(x - center)), at one point or, with ``values``, at many."""
-
-    center: tuple[float, ...]
-    phase: GradedPoly
-
-    def __call__(self, point: Sequence[float]) -> complex:
-        offset = tuple(float(a) - b for a, b in zip(point, self.center))
-        return cmath.exp(self.phase.evaluate(offset))
-
-    def values(self, points: Sequence[Sequence[float]]) -> np.ndarray:
-        offsets = np.asarray(points, dtype=float) - self.center
-        return np.exp(self.phase.evaluate_many(offsets))
-
-
-@dataclass(frozen=True)
 class ManufacturedProblem:
     """Helmholtz problem with the exact solution exp(g(x - center)).
 
@@ -148,23 +132,16 @@ class ManufacturedProblem:
     def solution(self) -> ExpPhase:
         return ExpPhase(self.center, self.phase)
 
-    def kappa_sq_field(self, point: Sequence[float]) -> complex:
-        offset = tuple(float(a) - b for a, b in zip(point, self.center))
-        return self.kappa_sq.evaluate(offset)
-
     @property
     def jet(self) -> CoefficientJet:
-        return CoefficientJet(self.kappa_sq, field=self.kappa_sq_field)
+        return CoefficientJet(self.kappa_sq)
 
 
 def manufactured_helmholtz(
     g: GradedPoly, center: Sequence[float] | None = None
 ) -> ManufacturedProblem:
     center = tuple(center) if center is not None else (0.0,) * g.dim
-    grad_sq = GradedPoly.zero(g.dim)
-    for comp in g.gradient():
-        grad_sq = grad_sq + comp.mul_truncated(comp, None)
-    return ManufacturedProblem(center, g, -(g.laplacian() + grad_sq))
+    return ManufacturedProblem(center, g, -helmholtz_image(g, GradedPoly.zero(g.dim)))
 
 
 # -- sampling ---------------------------------------------------------------
@@ -416,16 +393,8 @@ def helmholtz_residual_exact(
     the image of the exponential is then an exact polynomial times the
     exponential, with no truncation anywhere.
     """
-    symbol = _helmholtz_symbol(phi.phase, kappa_sq)
+    symbol = helmholtz_image(phi.phase, kappa_sq)
     return symbol.evaluate(offset) * cmath.exp(phi.phase.evaluate(offset))
-
-
-def _helmholtz_symbol(phase: GradedPoly, kappa_sq: GradedPoly) -> GradedPoly:
-    """Lap(phase) + |grad phase|^2 + kappa_sq: the Helmholtz image of exp(phase) over exp(phase)."""
-    grad_sq = GradedPoly.zero(phase.dim)
-    for comp in phase.gradient():
-        grad_sq = grad_sq + comp.mul_truncated(comp, None)
-    return phase.laplacian() + grad_sq + kappa_sq
 
 
 def helmholtz_residual_fd(
@@ -473,7 +442,7 @@ def residual_order_study(
         raise ValueError("exact method needs a polynomial coefficient")
 
     dim = phi.phase.dim
-    symbol = _helmholtz_symbol(phi.phase, kappa_sq) if method == "exact" else None
+    symbol = helmholtz_image(phi.phase, kappa_sq) if method == "exact" else None
     errors = []
     for h in radii:
         points = sphere_points(dim, phi.center, h, samples)

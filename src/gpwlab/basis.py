@@ -89,30 +89,35 @@ def linear_phase(dim: int, wavenumber: complex, direction: Sequence[complex]) ->
 
 
 @dataclass(frozen=True)
-class GpwFunction:
-    """x -> exp(phase(x - center)); phase(0) = 0 so the value at the center is 1."""
+class ExpPhase:
+    """x -> exp(phase(x - center)), at one point or, with ``values``, at many."""
 
     center: tuple[float, ...]
     phase: GradedPoly
-    degree: int
-    direction: tuple[complex, ...]  # real for propagating, complex for evanescent
-    operator: str
-    residual_norm: float
 
     def __call__(self, point: Sequence[float]) -> complex:
         offset = tuple(float(a) - b for a, b in zip(point, self.center))
-        if len(offset) != self.phase.dim:
-            raise ValueError("dimension mismatch")
-        return cmath.exp(self.phase.evaluate(offset))
-
-    def at_offset(self, offset: Sequence[float]) -> complex:
-        """Evaluate in centered coordinates X = x - center."""
         return cmath.exp(self.phase.evaluate(offset))
 
     def values(self, points: Sequence[Sequence[float]]) -> np.ndarray:
         """Values at the rows of an (n, dim) array of global points."""
         offsets = np.asarray(points, dtype=float) - self.center
         return np.exp(self.phase.evaluate_many(offsets))
+
+
+@dataclass(frozen=True)
+class GpwFunction(ExpPhase):
+    """exp(phase(x - center)) with phase(0) = 0, so the value at the center is 1."""
+
+    degree: int
+    direction: tuple[complex, ...]  # real for propagating, complex for evanescent
+    operator: str
+    residual_norm: float
+
+    def __call__(self, point: Sequence[float]) -> complex:
+        if len(point) != self.phase.dim:
+            raise ValueError("dimension mismatch")
+        return super().__call__(point)
 
 
 def certificate_norm(split: OperatorSplit, phase: GradedPoly) -> float:

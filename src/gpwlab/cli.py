@@ -63,6 +63,7 @@ class RunConfig:
     def from_dict(cls, raw: dict) -> "RunConfig":
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
+        _require_finite(raw, "config")
         if raw.get("schema") != SCHEMA:
             raise ConfigError(f"config schema must be {SCHEMA!r}")
         try:
@@ -90,6 +91,20 @@ class RunConfig:
         if seed < 0 or seed >= 2**64:
             raise ConfigError("seed must fit in 64 bits")
         return cls(dim, degree, center, count, radii, seed, operator)
+
+
+def _require_finite(value, where: str) -> None:
+    """Reject numbers that are not finite floats in parsed JSON.
+
+    Python's json reads NaN, Infinity and 1e999, and integers of any length.
+    """
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        for item in value:
+            _require_finite(item, where)
+    elif isinstance(value, (int, float)) and not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"non-finite or out-of-range number in {where}")
 
 
 def _parse_scalar(value) -> complex:
@@ -136,6 +151,18 @@ class Problem:
 
 
 def build_problem(config: RunConfig) -> Problem:
+    """Operator split of a config; a missing or malformed operator field is a ConfigError."""
+    try:
+        return _build_problem(config)
+    except ConfigError:
+        raise
+    except KeyError as err:
+        raise ConfigError(f"missing operator field: {err}") from err
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"bad operator: {err}") from err
+
+
+def _build_problem(config: RunConfig) -> Problem:
     op = dict(config.operator)
     kind = op.pop("type", None)
     if kind == "helmholtz":
@@ -163,21 +190,15 @@ def build_problem(config: RunConfig) -> Problem:
             raise ConfigError(f"unused operator fields: {sorted(op)}")
         return Problem(make_helmholtz_split(jet, config.degree))
     if kind == "convected":
-        try:
-            rho = _parse_coefficient(op.pop("rho"), config)
-            mach_raw = op.pop("mach")
-            kappa = _parse_scalar(op.pop("kappa"))
-        except KeyError as err:
-            raise ConfigError(f"missing convected field: {err}") from err
+        rho = _parse_coefficient(op.pop("rho"), config)
+        mach_raw = op.pop("mach")
+        kappa = _parse_scalar(op.pop("kappa"))
         if not isinstance(mach_raw, list) or len(mach_raw) != config.dim:
             raise ConfigError("mach must list one component per dimension")
         mach = [_parse_coefficient(m, config) for m in mach_raw]
         if op:
             raise ConfigError(f"unused operator fields: {sorted(op)}")
-        try:
-            return Problem(make_convected_split(rho, mach, kappa, config.degree))
-        except ValueError as err:
-            raise ConfigError(str(err)) from err
+        return Problem(make_convected_split(rho, mach, kappa, config.degree))
     raise ConfigError(f"operator type must be helmholtz or convected, got {kind!r}")
 
 
@@ -204,6 +225,7 @@ def cmd_verify(config: RunConfig, out: Path, quiet: bool) -> int:
     basis_path = out / BASIS_FILE
     try:
         records = json.loads(basis_path.read_text())
+        _require_finite(records, str(basis_path))
         for record in records:
             degree = _records_degree(record["phase"])
             if degree > config.degree:
@@ -213,6 +235,13 @@ def cmd_verify(config: RunConfig, out: Path, quiet: bool) -> int:
         raise ConfigError(f"basis file not found: {basis_path}") from err
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as err:
         raise ConfigError(f"unreadable basis file {basis_path}: {err}") from err
+    label = problem.split.label
+    for index, phi in enumerate(family):
+        if (phi.degree, phi.center, phi.operator or label) != (config.degree, config.center, label):
+            raise ConfigError(
+                f"basis function {index} has p={phi.degree}, x0={phi.center}, operator "
+                f"{phi.operator!r}; the config has p={config.degree}, x0={config.center}, {label!r}"
+            )
     hypotheses = verify_split(problem.split, trials=50, seed=config.seed)
     functions = []
     for index, phi in enumerate(family):
@@ -220,7 +249,7 @@ def cmd_verify(config: RunConfig, out: Path, quiet: bool) -> int:
         functions.append(
             {
                 "index": index,
-                "direction": list(phi.direction),
+                "direction": basis._direction_payload(phi.direction),
                 "residual": residual,
                 "passed": residual <= RESIDUAL_TOL,
             }
@@ -319,6 +348,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except basis.CertificateError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

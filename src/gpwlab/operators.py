@@ -33,20 +33,14 @@ class CoefficientJet:
     """Taylor data of one scalar coefficient field about the expansion center.
 
     Layer n of ``poly`` holds the degree-n Taylor coefficients (derivatives
-    over factorials) in centered coordinates X = x - center.  ``field``
-    optionally evaluates the untruncated coefficient at a global point.
-    ``valid_degree`` marks jets that are only trustworthy up to a finite
-    layer; None means the polynomial is the exact field.
+    over factorials) in centered coordinates X = x - center.
     """
 
     poly: GradedPoly
-    field: Callable[[Sequence[float]], complex] | None = None
-    valid_degree: int | None = None
 
     @classmethod
     def constant(cls, dim: int, value: complex) -> "CoefficientJet":
-        value = complex(value)
-        return cls(GradedPoly.constant(dim, value), field=lambda _x: value)
+        return cls(GradedPoly.constant(dim, complex(value)))
 
     @classmethod
     def from_polynomial(
@@ -54,42 +48,70 @@ class CoefficientJet:
     ) -> "CoefficientJet":
         """Exact jet of a globally polynomial coefficient, re-centered at ``center``."""
         center = tuple(center) if center is not None else (0.0,) * poly.dim
-        return cls(poly.shifted(center), field=poly.evaluate)
+        return cls(poly.shifted(center))
 
     def value_at_center(self) -> complex:
         return self.poly.coeffs.get((0,) * self.poly.dim, 0j)
-
-    def require_degree(self, degree: int) -> None:
-        if self.valid_degree is not None and self.valid_degree < degree:
-            raise ValueError(
-                f"jet valid to degree {self.valid_degree}, need degree {degree}"
-            )
 
 
 def as_jet(value: "CoefficientJet | GradedPoly") -> CoefficientJet:
     if isinstance(value, CoefficientJet):
         return value
     if isinstance(value, GradedPoly):
-        return CoefficientJet(value, field=value.evaluate)
+        return CoefficientJet(value)
     raise TypeError(f"cannot interpret {type(value).__name__} as a coefficient jet")
+
+
+def _order_two_split(
+    part: PrincipalPart2,
+    degree: int,
+    remainder: Callable[[GradedPoly], GradedPoly],
+    target: GradedPoly,
+    dispersion: Callable[[Sequence[float]], complex],
+    label: str,
+) -> OperatorSplit:
+    """Split whose principal part is the frozen-coefficient ``part``, inverted layer by layer."""
+
+    def solver(layer: int, rhs: HomogeneousPoly) -> HomogeneousPoly:
+        if rhs.degree != layer:
+            raise ValueError(f"layer {layer} solver got degree {rhs.degree}")
+        return solve_layer(part, rhs)
+
+    return OperatorSplit(
+        dim=part.dim,
+        order=2,
+        layer_count=max(degree - 1, 0),
+        principal=part.apply,
+        remainder=remainder,
+        rhs=target,
+        solve_layer=solver,
+        free_monomials=lambda layer: split_layer(part, layer).free,
+        dispersion_wavenumber=dispersion,
+        label=label,
+    )
 
 
 # -- Helmholtz ----------------------------------------------------------
 
 
-def helmholtz_image(phase: GradedPoly, kappa_sq: GradedPoly, bound: int) -> GradedPoly:
-    """Truncated image of exp(phase) under the Helmholtz operator, over exp(phase).
+def helmholtz_image(
+    phase: GradedPoly, kappa_sq: GradedPoly, bound: int | None = None
+) -> GradedPoly:
+    """Image of exp(phase) under the Helmholtz operator, over exp(phase).
 
     Evaluates Lap(phase) + T_bound |grad(phase)|^2 + T_bound kappa_sq with
-    exact truncated polynomial arithmetic.  Serves as the independent
-    residual oracle for phases produced through the split machinery.
+    exact polynomial arithmetic; ``bound=None`` truncates nothing.  Serves
+    as the independent residual oracle for phases produced through the
+    split machinery.
     """
-    if phase.degree > bound + 2:
-        raise ValueError(f"phase degree {phase.degree} exceeds bound {bound} + 2")
-    out = phase.laplacian().truncate(bound) + kappa_sq.truncate(bound)
+    if bound is not None:
+        if phase.degree > bound + 2:
+            raise ValueError(f"phase degree {phase.degree} exceeds bound {bound} + 2")
+        kappa_sq = kappa_sq.truncate(bound)
+    grad_sq = GradedPoly.zero(phase.dim)
     for g in phase.gradient():
-        out = out + g.mul_truncated(g, bound)
-    return out
+        grad_sq = grad_sq + g.mul_truncated(g, bound)
+    return phase.laplacian() + grad_sq + kappa_sq
 
 
 def make_helmholtz_split(
@@ -107,12 +129,7 @@ def make_helmholtz_split(
     if degree < 1:
         raise ValueError("phase degree must be at least 1")
     bound = degree - 2
-    jet.require_degree(bound)
-    part = PrincipalPart2.laplace(dim)
     kappa0 = principal_sqrt(jet.value_at_center())
-
-    def principal(poly: GradedPoly) -> GradedPoly:
-        return poly.laplacian()
 
     def remainder(poly: GradedPoly) -> GradedPoly:
         out = GradedPoly.zero(dim)
@@ -120,22 +137,13 @@ def make_helmholtz_split(
             out = out + g.mul_truncated(g, bound)
         return out
 
-    def solver(layer: int, rhs: HomogeneousPoly) -> HomogeneousPoly:
-        if rhs.degree != layer:
-            raise ValueError(f"layer {layer} solver got degree {rhs.degree}")
-        return solve_layer(part, rhs)
-
-    return OperatorSplit(
-        dim=dim,
-        order=2,
-        layer_count=max(degree - 1, 0),
-        principal=principal,
-        remainder=remainder,
-        rhs=-jet.poly.truncate(bound),
-        solve_layer=solver,
-        free_monomials=lambda layer: split_layer(part, layer).free,
-        dispersion_wavenumber=lambda _direction: kappa0,
-        label="helmholtz",
+    return _order_two_split(
+        PrincipalPart2.laplace(dim),
+        degree,
+        remainder,
+        -jet.poly.truncate(bound),
+        lambda _direction: kappa0,
+        "helmholtz",
     )
 
 
@@ -154,20 +162,6 @@ def convected_principal_part(dim: int, rho0: complex, mach0: Sequence[complex]) 
         index = tuple(2 if k == i else 0 for k in range(dim))
         coeffs[index] = coeffs.get(index, 0j) + rho0
     return PrincipalPart2.build(dim, coeffs)
-
-
-def convected_principal_apply(
-    poly: GradedPoly, rho0: complex, mach0: Sequence[complex]
-) -> GradedPoly:
-    """rho0 * Lap(P) - rho0 * (M0^T Hess(P) M0), the linear block of the convected split."""
-    dim = poly.dim
-    out = poly.laplacian().scaled(rho0)
-    for i in range(dim):
-        for j in range(dim):
-            weight = rho0 * mach0[i] * mach0[j]
-            if weight != 0:
-                out = out - poly.hessian_entry(i, j).scaled(weight)
-    return out
 
 
 def make_convected_split(
@@ -192,16 +186,13 @@ def make_convected_split(
     if degree < 2:
         raise ValueError("phase degree must be at least 2")
     bound = degree - 2
-    rho_jet.require_degree(bound)
-    for m in mach_jets:
-        m.require_degree(bound)
 
     rho0 = rho_jet.value_at_center()
     if rho0 == 0:
         raise ValueError("density must be nonzero at the center")
     mach0 = tuple(m.value_at_center() for m in mach_jets)
     speed = math.sqrt(sum(abs(m) ** 2 for m in mach0))
-    if speed >= 1.0:
+    if not speed < 1.0:
         raise ValueError(f"velocity magnitude {speed:.3f} at the center is not subsonic")
 
     kappa = complex(kappa)
@@ -213,9 +204,6 @@ def make_convected_split(
     div_rho_m = GradedPoly.zero(dim)
     for i in range(dim):
         div_rho_m = div_rho_m + rho_p.mul_truncated(mach_p[i], None).partial(i)
-
-    def principal(poly: GradedPoly) -> GradedPoly:
-        return convected_principal_apply(poly, rho0, mach0)
 
     def apply_full(poly: GradedPoly) -> GradedPoly:
         grads = poly.gradient()
@@ -242,12 +230,7 @@ def make_convected_split(
         return out.truncate(bound)
 
     def remainder(poly: GradedPoly) -> GradedPoly:
-        return apply_full(poly) - principal(poly)
-
-    def solver(layer: int, rhs: HomogeneousPoly) -> HomogeneousPoly:
-        if rhs.degree != layer:
-            raise ValueError(f"layer {layer} solver got degree {rhs.degree}")
-        return solve_layer(part, rhs)
+        return apply_full(poly) - part.apply(poly)
 
     target = -(div_rho_m.scaled(1j * kappa) + rho_p.scaled(kappa**2)).truncate(bound)
 
@@ -255,18 +238,7 @@ def make_convected_split(
         along = sum(m * d for m, d in zip(mach0, direction))
         return kappa / (1.0 + along)
 
-    return OperatorSplit(
-        dim=dim,
-        order=2,
-        layer_count=max(degree - 1, 0),
-        principal=principal,
-        remainder=remainder,
-        rhs=target,
-        solve_layer=solver,
-        free_monomials=lambda layer: split_layer(part, layer).free,
-        dispersion_wavenumber=dispersion,
-        label="convected",
-    )
+    return _order_two_split(part, degree, remainder, target, dispersion, "convected")
 
 
 def convected_residual_at(

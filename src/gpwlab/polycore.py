@@ -261,9 +261,6 @@ class _Poly:
     def max_abs(self) -> float:
         return float(np.abs(self.vec).max()) if self.vec.size else 0.0
 
-    def items_sorted(self) -> list[tuple[MultiIndex, complex]]:
-        return list(self.coeffs.items())
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.dim}, {dict(self.coeffs)!r})"
 
@@ -574,7 +571,7 @@ class GradedPoly(_Poly):
         """Graded-lex ordered list of {exponents, re, im} records."""
         return [
             {"exponents": list(j), "re": c.real, "im": c.imag}
-            for j, c in self.items_sorted()
+            for j, c in self.coeffs.items()
         ]
 
     @classmethod

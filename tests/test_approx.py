@@ -57,7 +57,7 @@ class TestTaylorTruncation:
         kappa, direction = 3.0, (0.6, 0.8)
         psi = plane_wave(2, kappa, direction, 3)
         truncated = taylor_truncation(psi, 3)
-        for (a, b), got in truncated.items_sorted():
+        for (a, b), got in truncated.coeffs.items():
             expected = (
                 (1j * kappa * direction[0]) ** a
                 * (1j * kappa * direction[1]) ** b
@@ -71,7 +71,7 @@ class TestTaylorTruncation:
         truncated = taylor_truncation(phi, 3)
         for h in (0.1, 0.05):
             worst = max(
-                abs(phi.at_offset((h * c, h * s)) - truncated.evaluate((h * c, h * s)))
+                abs(phi(np.add(phi.center, (h * c, h * s))) - truncated.evaluate((h * c, h * s)))
                 for c, s in unit_circle_directions(16)
             )
             assert worst <= 5.0 * (3.0 * h) ** 4 / 24.0
@@ -191,14 +191,6 @@ class TestManufactured:
         for point in rng.uniform(-0.8, 0.8, (100, 2)):
             value = helmholtz_residual_exact(carrier, problem.kappa_sq, tuple(point))
             assert abs(value) <= 1e-12
-
-    def test_jet_field_matches_polynomial(self):
-        g = GradedPoly(2, {(1, 0): 2j, (1, 1): 0.05})
-        problem = manufactured_helmholtz(g, center=(0.2, -0.1))
-        jet = problem.jet
-        assert jet.field((0.2, -0.1)) == pytest.approx(
-            jet.poly.evaluate((0.0, 0.0)), rel=1e-14
-        )
 
 
 class TestSampling:

@@ -1,8 +1,11 @@
 import json
+import math
 
 import pytest
 
-from gpwlab.cli import ConfigError, RunConfig, main
+import gpwlab.basis
+from gpwlab.basis import build_gpw, family_to_records
+from gpwlab.cli import ConfigError, RunConfig, build_problem, main
 from gpwlab.serialize import csv_text, json_text
 
 
@@ -58,6 +61,29 @@ class TestConfig:
 
     def test_missing_file_is_config_error(self, tmp_path):
         assert main(["build", "--config", str(tmp_path / "absent.json")]) == 2
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"operator": {"type": "helmholtz", "preset": "constant_kappa"}},
+            {"operator": {"type": "helmholtz", "preset": "manufactured"}},
+            {"operator": {"type": "helmholtz", "preset": "omode_linear", "kappa0_sq": 9.0, "x_cut": 0}},
+            {"operator": {"type": "helmholtz", "preset": "constant_kappa", "kappa_sq": math.nan}},
+            {"center": [math.nan, 0.0]},
+            {"center": [10**400, 0.0]},
+            {"operator": {"type": "convected", "rho": 1.0, "mach": [math.nan, 0.0], "kappa": 2.0}},
+            {"operator": {"type": "helmholtz", "kappa_sq_jet": [
+                {"exponents": [0, 0], "re": math.inf, "im": 0.0}
+            ]}},
+        ],
+        ids=["missing-kappa-sq", "missing-phase", "x-cut-zero", "nan-kappa-sq",
+             "nan-center", "huge-int-center", "nan-mach", "inf-record"],
+    )
+    def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, overrides):
+        config = write_config(tmp_path / "c.json", **overrides)
+        assert main(["build", "--config", str(config), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestBuild:
@@ -145,6 +171,39 @@ class TestVerify:
         basis_path.write_text(json.dumps(records))
         assert main(["verify", "--config", str(config), "--out", str(out), "--quiet"]) == 2
 
+    def test_non_finite_basis_is_config_error(self, tmp_path):
+        config = write_config(tmp_path / "c.json")
+        out = tmp_path / "out"
+        main(["build", "--config", str(config), "--out", str(out), "--quiet"])
+        records = json.loads((out / "basis.json").read_text())
+        records[0]["phase"][0]["re"] = math.nan
+        (out / "basis.json").write_text(json.dumps(records))
+        assert main(["verify", "--config", str(config), "--out", str(out), "--quiet"]) == 2
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"degree": 4}, {"center": [0.3, 0.1]},
+         {"operator": {"type": "convected", "rho": 1.0, "mach": [0.2, 0.1], "kappa": 5.0}}],
+        ids=["p", "x0", "operator"],
+    )
+    def test_basis_of_another_config_is_config_error(self, tmp_path, overrides):
+        out = tmp_path / "out"
+        main(["build", "--config", str(write_config(tmp_path / "a.json")), "--out", str(out), "--quiet"])
+        other = write_config(tmp_path / "b.json", **overrides)
+        assert main(["verify", "--config", str(other), "--out", str(out), "--quiet"]) == 2
+
+    def test_evanescent_direction_in_report(self, tmp_path):
+        config = write_config(tmp_path / "c.json")
+        split = build_problem(RunConfig.load(config)).split
+        direction = (math.cosh(0.4), 1j * math.sinh(0.4))
+        out = tmp_path / "out"
+        out.mkdir()
+        records = family_to_records([build_gpw(split, direction)])
+        (out / "basis.json").write_text(json.dumps(records))
+        assert main(["verify", "--config", str(config), "--out", str(out), "--quiet"]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["functions"][0]["direction"] == [direction[0], [0.0, direction[1].imag]]
+
     def test_missing_basis_is_config_error(self, tmp_path):
         config = write_config(tmp_path / "c.json")
         assert main(["verify", "--config", str(config), "--out", str(tmp_path / "nowhere")]) == 2
@@ -158,6 +217,18 @@ class TestVerify:
         )
         report = json.loads((out / "report.json").read_text())
         assert report["hypotheses"]["seed"] == 7
+
+
+class TestCertificateFailure:
+    @pytest.mark.parametrize("command", ["build", "rank", "converge"])
+    def test_exits_1_without_traceback(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.setattr(gpwlab.basis, "certificate_norm", lambda split, phase: 1.0)
+        config = write_config(
+            tmp_path / "c.json", h_values=[0.4, 0.2, 0.1, 0.05], operator=MANUFACTURED
+        )
+        assert main([command, "--config", str(config), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "residual" in err and err.count("\n") == 1
 
 
 class TestRank:
