@@ -400,21 +400,19 @@ def helmholtz_residual_exact(
 def helmholtz_residual_fd(
     phi: GpwFunction,
     kappa_sq_field: Callable[[Sequence[float]], complex],
-    point: Sequence[float],
+    points: np.ndarray,
     step: float,
-) -> complex:
-    """Second-order central-difference Laplacian plus the coefficient term."""
+) -> np.ndarray:
+    """Central-difference Laplacian plus the coefficient term at each row of (n, dim) points."""
     if step < 1e-6:
         step = 1e-6  # below this the difference quotient is roundoff-dominated
-    total = 0j
-    center_value = phi(point)
-    for axis in range(len(point)):
-        plus = list(point)
-        minus = list(point)
-        plus[axis] += step
-        minus[axis] -= step
-        total += (phi(plus) - 2.0 * center_value + phi(minus)) / step**2
-    return total + kappa_sq_field(point) * center_value
+    points = np.asarray(points, dtype=float)
+    count, dim = points.shape
+    shifts = np.concatenate([np.zeros((1, dim)), step * np.eye(dim), -step * np.eye(dim)])
+    stencil = phi.values((points[:, None, :] + shifts).reshape(-1, dim)).reshape(count, -1)
+    center, plus, minus = stencil[:, :1], stencil[:, 1 : dim + 1], stencil[:, dim + 1 :]
+    laplacian = ((plus - 2.0 * center + minus) / step**2).sum(axis=1)
+    return laplacian + _sample(kappa_sq_field, points) * center[:, 0]
 
 
 def residual_order_study(
@@ -450,7 +448,7 @@ def residual_order_study(
             offsets = np.asarray(points) - phi.center
             values = symbol.evaluate_many(offsets) * np.exp(phi.phase.evaluate_many(offsets))
         else:
-            values = [helmholtz_residual_fd(phi, kappa_sq, point, h * 1e-3) for point in points]
+            values = helmholtz_residual_fd(phi, kappa_sq, np.asarray(points), h * 1e-3)
         errors.append(float(np.max(np.abs(values), initial=0.0)))
     pair, slope, exact = _fit_slopes(radii, errors, 1e-11)
     monotone = all(a >= b for a, b in zip(errors, errors[1:]))

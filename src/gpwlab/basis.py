@@ -122,13 +122,10 @@ class GpwFunction(ExpPhase):
 
 def certificate_norm(split: OperatorSplit, phase: GradedPoly) -> float:
     """Sup-norm of the truncated-operator residual, relative to the equation scale."""
-    residual = split.residual(phase)
-    scale = max(
-        1.0,
-        split.rhs.max_abs(),
-        split.principal(phase).max_abs(),
-        split.remainder(phase).max_abs(),
-    )
+    principal = split.principal(phase)
+    remainder = split.remainder(phase)
+    residual = (principal + remainder) - split.rhs
+    scale = max(1.0, split.rhs.max_abs(), principal.max_abs(), remainder.max_abs())
     return residual.max_abs() / scale
 
 

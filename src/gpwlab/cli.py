@@ -52,12 +52,13 @@ class RunConfig:
     @classmethod
     def load(cls, path: str | Path) -> "RunConfig":
         try:
-            raw = json.loads(Path(path).read_text())
+            return cls.from_dict(json.loads(Path(path).read_text()))
         except FileNotFoundError as err:
             raise ConfigError(f"config not found: {path}") from err
         except json.JSONDecodeError as err:
             raise ConfigError(f"config is not valid JSON: {err}") from err
-        return cls.from_dict(raw)
+        except RecursionError as err:
+            raise ConfigError("config nests too deeply to read") from err
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
@@ -233,7 +234,7 @@ def cmd_verify(config: RunConfig, out: Path, quiet: bool) -> int:
         family = basis.family_from_records(records)
     except FileNotFoundError as err:
         raise ConfigError(f"basis file not found: {basis_path}") from err
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as err:
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError, RecursionError) as err:
         raise ConfigError(f"unreadable basis file {basis_path}: {err}") from err
     label = problem.split.label
     for index, phi in enumerate(family):

@@ -59,14 +59,12 @@ class PrincipalPart2:
         return self.coeffs.get(_pure_second(self.dim, self.pivot), 0j)
 
     @classmethod
-    def build(cls, dim: int, coeffs: Mapping[MultiIndex, complex], pivot: int | None = None) -> "PrincipalPart2":
+    def build(cls, dim: int, coeffs: Mapping[MultiIndex, complex]) -> "PrincipalPart2":
         """Validate coefficients and pick the pivot with the largest pure second derivative."""
-        if pivot is None:
-            magnitudes = [abs(complex(coeffs.get(_pure_second(dim, k), 0))) for k in range(dim)]
-            best = max(range(dim), key=lambda k: magnitudes[k])
-            if magnitudes[best] == 0:
-                raise ValueError("no variable carries a nonzero pure second derivative")
-            pivot = best
+        magnitudes = [abs(complex(coeffs.get(_pure_second(dim, k), 0))) for k in range(dim)]
+        pivot = max(range(dim), key=lambda k: magnitudes[k])
+        if magnitudes[pivot] == 0:
+            raise ValueError("no variable carries a nonzero pure second derivative")
         return cls(dim, coeffs, pivot)
 
     @classmethod

@@ -1,23 +1,24 @@
 """Helmholtz and convected-Helmholtz operators as graded splits.
 
-Both operators act on exponentials of polynomial phases.  Dividing the
-image by the exponential and truncating the Taylor expansion at the
-center yields a polynomial equation for the phase, which splits into the
-frozen-coefficient principal part (the layer-respecting linear block)
+Both operators are L u = sum_ij A_ij d_ij u + sum_i b_i d_i u + c u with
+coefficient jets (A, b, c), acting on exponentials of polynomial phases.
+Dividing the image by the exponential and truncating the Taylor expansion
+at the center yields a polynomial equation for the phase, which splits into
+the frozen-coefficient principal part (the layer-respecting linear block)
 plus a remainder carrying the gradient products and the variable parts of
-the coefficients.  The factories below produce :class:`~gpwlab.frame.OperatorSplit`
-values ready for the layered construction.
+the coefficients.  One builder makes this split from (A, b, c) for both
+factories below.
 """
 from __future__ import annotations
 
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .frame import OperatorSplit
 from .layers import PrincipalPart2, solve_layer, split_layer
-from .polycore import GradedPoly, HomogeneousPoly, MultiIndex
+from .polycore import GradedPoly, HomogeneousPoly
 
 
 def principal_sqrt(value: complex) -> complex:
@@ -62,15 +63,46 @@ def as_jet(value: "CoefficientJet | GradedPoly") -> CoefficientJet:
     raise TypeError(f"cannot interpret {type(value).__name__} as a coefficient jet")
 
 
-def _order_two_split(
-    part: PrincipalPart2,
+def _second_order_split(
+    a: Mapping[tuple[int, int], GradedPoly],
+    b: Sequence[GradedPoly],
+    c: GradedPoly,
     degree: int,
-    remainder: Callable[[GradedPoly], GradedPoly],
-    target: GradedPoly,
     dispersion: Callable[[Sequence[float]], complex],
     label: str,
 ) -> OperatorSplit:
-    """Split whose principal part is the frozen-coefficient ``part``, inverted layer by layer."""
+    """Split of the phase equation of L u = sum_ij A_ij d_ij u + sum_i b_i d_i u + c u.
+
+    ``a`` maps (i, j), i <= j, to the jet of the symmetric A_ij (missing
+    entries are zero); ``b`` holds one jet per axis.  Over exp(P), L gives
+    sum_ij A_ij (d_ij P + d_i P d_j P) + b . grad P + c.  With w_ij = 2 off
+    the diagonal and 1 on it, the principal part is sum w_ij A_ij(0) d_ij,
+    the remainder T_bound[sum w_ij ((A_ij - A_ij(0)) d_ij P + A_ij d_i P d_j P)
+    + b . grad P] and the target -T_bound c.
+    """
+    dim, bound = c.dim, degree - 2
+    frozen, hessian, quadratic = {}, [], []
+    for (i, j), jet in sorted(a.items()):
+        jet = jet if i == j else jet.scaled(2)
+        at_center = jet.vec[0] if jet.cap >= 0 else 0j
+        frozen[tuple((k == i) + (k == j) for k in range(dim))] = at_center
+        if varying := _multiplier(jet - GradedPoly.constant(dim, at_center), bound):
+            hessian.append((i, j, varying))
+        if times := _multiplier(jet, bound):
+            quadratic.append((i, j, times))
+    linear = [(i, times) for i, jet in enumerate(b) if (times := _multiplier(jet, bound))]
+    part = PrincipalPart2.build(dim, frozen)
+
+    def remainder(poly: GradedPoly) -> GradedPoly:
+        grads = poly.gradient()
+        out = GradedPoly.zero(dim)
+        for i, j, times in hessian:
+            out = out + times(poly.hessian_entry(i, j))
+        for i, j, times in quadratic:
+            out = out + times(grads[i].mul_truncated(grads[j], bound))
+        for i, times in linear:
+            out = out + times(grads[i])
+        return out
 
     def solver(layer: int, rhs: HomogeneousPoly) -> HomogeneousPoly:
         if rhs.degree != layer:
@@ -78,17 +110,30 @@ def _order_two_split(
         return solve_layer(part, rhs)
 
     return OperatorSplit(
-        dim=part.dim,
+        dim=dim,
         order=2,
         layer_count=max(degree - 1, 0),
         principal=part.apply,
         remainder=remainder,
-        rhs=target,
+        rhs=-c.truncate(bound),
         solve_layer=solver,
         free_monomials=lambda layer: split_layer(part, layer).free,
         dispersion_wavenumber=dispersion,
         label=label,
     )
+
+
+def _multiplier(coefficient: GradedPoly, bound: int) -> Callable[[GradedPoly], GradedPoly] | None:
+    """poly -> T_bound(coefficient * poly); None if zero, a scaling if constant, T_bound if 1."""
+    coefficient = coefficient.truncate(bound)
+    if not coefficient:
+        return None
+    if coefficient.degree > 0:
+        return lambda poly: coefficient.mul_truncated(poly, bound)
+    value = complex(coefficient.vec[0])
+    if value == 1:
+        return lambda poly: poly.truncate(bound)
+    return lambda poly: poly.truncate(bound).scaled(value)
 
 
 # -- Helmholtz ----------------------------------------------------------
@@ -119,49 +164,27 @@ def make_helmholtz_split(
 ) -> OperatorSplit:
     """Split of the variable-wavenumber Helmholtz phase equation at one degree.
 
-    The principal part is the Laplacian, the remainder is the truncated
-    gradient square, and the target is minus the truncated kappa^2 jet.
-    A phase of degree 1 is allowed: the split then has no layers and every
-    linear phase trivially satisfies the (empty) constraint.
+    (A, b, c) = (I, 0, kappa^2): the principal part is the Laplacian, the
+    remainder the truncated gradient square, and the target minus the
+    truncated kappa^2 jet.  A phase of degree 1 is allowed: the split then
+    has no layers and every linear phase satisfies the (empty) constraint.
     """
     jet = as_jet(kappa_sq)
     dim = jet.poly.dim
     if degree < 1:
         raise ValueError("phase degree must be at least 1")
-    bound = degree - 2
     kappa0 = principal_sqrt(jet.value_at_center())
-
-    def remainder(poly: GradedPoly) -> GradedPoly:
-        out = GradedPoly.zero(dim)
-        for g in poly.gradient():
-            out = out + g.mul_truncated(g, bound)
-        return out
-
-    return _order_two_split(
-        PrincipalPart2.laplace(dim),
+    return _second_order_split(
+        {(i, i): GradedPoly.constant(dim, 1.0) for i in range(dim)},
+        (GradedPoly.zero(dim),) * dim,
+        jet.poly,
         degree,
-        remainder,
-        -jet.poly.truncate(bound),
         lambda _direction: kappa0,
         "helmholtz",
     )
 
 
 # -- convected Helmholtz --------------------------------------------------
-
-
-def convected_principal_part(dim: int, rho0: complex, mach0: Sequence[complex]) -> PrincipalPart2:
-    """Frozen-coefficient principal part rho0 * (Lap - (M0 . grad)^2)."""
-    coeffs: dict[MultiIndex, complex] = {}
-    for i in range(dim):
-        for j in range(i, dim):
-            index = tuple((2 if i == j else 1) if k in (i, j) else 0 for k in range(dim))
-            cross = rho0 * mach0[i] * mach0[j] * (1 if i == j else 2)
-            coeffs[index] = coeffs.get(index, 0j) - cross
-    for i in range(dim):
-        index = tuple(2 if k == i else 0 for k in range(dim))
-        coeffs[index] = coeffs.get(index, 0j) + rho0
-    return PrincipalPart2.build(dim, coeffs)
 
 
 def make_convected_split(
@@ -174,9 +197,10 @@ def make_convected_split(
 
     ``rho`` is the fluid density jet, ``mach`` the components of the
     rescaled velocity jet (subsonic at the center), and ``kappa`` the
-    constant wavenumber.  The full truncated operator is assembled term by
-    term; the remainder is the full operator minus the frozen-coefficient
-    principal block, and the target collects the phase-independent terms.
+    constant wavenumber.  The operator is the form (A, b, c) with
+    A_ij = rho (delta_ij - M_i M_j),
+    b_j = d_j rho - sum_i rho M_i d_i M_j - (div(rho M) - 2i kappa rho) M_j
+    and c = i kappa div(rho M) + rho kappa^2, each computed once per split.
     """
     rho_jet = as_jet(rho)
     dim = rho_jet.poly.dim
@@ -198,47 +222,28 @@ def make_convected_split(
     kappa = complex(kappa)
     rho_p = rho_jet.poly
     mach_p = tuple(m.poly for m in mach_jets)
-    part = convected_principal_part(dim, rho0, mach0)
-
-    # scalar divergence of rho * M, exact from the jets
-    div_rho_m = GradedPoly.zero(dim)
-    for i in range(dim):
-        div_rho_m = div_rho_m + rho_p.mul_truncated(mach_p[i], None).partial(i)
-
-    def apply_full(poly: GradedPoly) -> GradedPoly:
-        grads = poly.gradient()
-        mach_dot_grad = GradedPoly.zero(dim)
-        for i in range(dim):
-            mach_dot_grad = mach_dot_grad + mach_p[i].mul_truncated(grads[i], bound)
-        out = rho_p.mul_truncated(poly.laplacian(), bound)
-        for i in range(dim):
-            out = out + rho_p.partial(i).mul_truncated(grads[i], bound)
-        for i in range(dim):
-            for j in range(dim):
-                advect = mach_p[i].mul_truncated(mach_p[j].partial(i), bound)
-                advect = advect.mul_truncated(grads[j], bound)
-                out = out - rho_p.mul_truncated(advect, bound)
-        transport = div_rho_m - rho_p.scaled(2j * kappa)
-        out = out - transport.mul_truncated(mach_dot_grad, bound)
-        for i in range(dim):
-            for j in range(dim):
-                hess = rho_p.mul_truncated(mach_p[i], bound).mul_truncated(mach_p[j], bound)
-                out = out - hess.mul_truncated(poly.hessian_entry(i, j), bound)
-        for g in grads:
-            out = out + rho_p.mul_truncated(g.mul_truncated(g, bound), bound)
-        out = out - rho_p.mul_truncated(mach_dot_grad.mul_truncated(mach_dot_grad, bound), bound)
-        return out.truncate(bound)
-
-    def remainder(poly: GradedPoly) -> GradedPoly:
-        return apply_full(poly) - part.apply(poly)
-
-    target = -(div_rho_m.scaled(1j * kappa) + rho_p.scaled(kappa**2)).truncate(bound)
+    zero = GradedPoly.zero(dim)
+    rho_m = tuple(rho_p.mul_truncated(m, bound + 1) for m in mach_p)
+    div_rho_m = sum((rho_m[i].partial(i) for i in range(dim)), zero)
+    transport = div_rho_m - rho_p.scaled(2j * kappa)
+    a = {
+        (i, j): (rho_p if i == j else zero) - rho_m[i].mul_truncated(mach_p[j], bound)
+        for i in range(dim)
+        for j in range(i, dim)
+    }
+    b = [
+        rho_p.partial(j)
+        - sum((rho_m[i].mul_truncated(mach_p[j].partial(i), bound) for i in range(dim)), zero)
+        - transport.mul_truncated(mach_p[j], bound)
+        for j in range(dim)
+    ]
+    c = div_rho_m.scaled(1j * kappa) + rho_p.scaled(kappa**2)
 
     def dispersion(direction: Sequence[float]) -> complex:
         along = sum(m * d for m, d in zip(mach0, direction))
         return kappa / (1.0 + along)
 
-    return _order_two_split(part, degree, remainder, target, dispersion, "convected")
+    return _second_order_split(a, b, c, degree, dispersion, "convected")
 
 
 def convected_residual_at(

@@ -318,7 +318,7 @@ class TestResidualOrder:
     def test_fd_step_guard(self):
         split = constant_split(degree=3)
         phi = build_gpw(split, (1.0, 0.0))
-        value = helmholtz_residual_fd(phi, lambda _x: 9.0, (0.01, 0.0), 1e-30)
+        (value,) = helmholtz_residual_fd(phi, lambda _x: 9.0, np.array([[0.01, 0.0]]), 1e-30)
         assert abs(value) < 1.0  # clamped step keeps the difference quotient sane
 
     def test_exact_method_needs_polynomial(self):

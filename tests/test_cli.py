@@ -86,6 +86,16 @@ class TestConfig:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+    def test_deeply_nested_config_exits_2_with_one_line(self, tmp_path, capsys):
+        config = write_config(tmp_path / "c.json")
+        depth = 100000
+        text = config.read_text().replace("25.0", "[" * depth + "]" * depth)
+        config.write_text(text)
+        assert main(["build", "--config", str(config), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestBuild:
     def test_constant_wavenumber_phases_are_linear(self, tmp_path):
         config = write_config(tmp_path / "c.json")
@@ -179,6 +189,16 @@ class TestVerify:
         records[0]["phase"][0]["re"] = math.nan
         (out / "basis.json").write_text(json.dumps(records))
         assert main(["verify", "--config", str(config), "--out", str(out), "--quiet"]) == 2
+
+    def test_deeply_nested_basis_is_config_error(self, tmp_path, capsys):
+        config = write_config(tmp_path / "c.json")
+        out = tmp_path / "out"
+        out.mkdir()
+        depth = 100000
+        (out / "basis.json").write_text("[" * depth + "]" * depth)
+        assert main(["verify", "--config", str(config), "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "overrides",

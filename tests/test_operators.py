@@ -6,7 +6,6 @@ import pytest
 from gpwlab.frame import random_poly, verify_split
 from gpwlab.operators import (
     CoefficientJet,
-    convected_principal_part,
     convected_residual_at,
     helmholtz_image,
     make_convected_split,
@@ -129,6 +128,15 @@ class TestHelmholtzRemainderStructure:
             assert gap.max_abs() <= 1e-12 * max(1.0, image.max_abs())
 
 
+def constant_flow_split(dim, rho0, mach0, kappa=1.0, degree=6):
+    return make_convected_split(
+        CoefficientJet.constant(dim, rho0),
+        [CoefficientJet.constant(dim, m) for m in mach0],
+        kappa,
+        degree,
+    )
+
+
 class TestConvectedPrincipal:
     @pytest.mark.parametrize("dim", [2, 3])
     def test_part_apply_matches_hessian_formula(self, dim):
@@ -144,23 +152,110 @@ class TestConvectedPrincipal:
                     expected = expected - poly.hessian_entry(i, j).scaled(
                         rho0 * mach0[i] * mach0[j]
                     )
-            got = convected_principal_part(dim, rho0, mach0).apply(poly)
+            got = constant_flow_split(dim, rho0, mach0).principal(poly)
             assert (got - expected).max_abs() <= 1e-13 * max(1.0, expected.max_abs())
 
     def test_zero_velocity_reduces_to_scaled_laplacian(self):
         rng = np.random.default_rng(2)
         poly = random_poly(rng, 2, 4)
-        got = convected_principal_part(2, 1.7, (0.0, 0.0)).apply(poly)
+        got = constant_flow_split(2, 1.7, (0.0, 0.0)).principal(poly)
         assert (got - poly.laplacian().scaled(1.7)).max_abs() <= 1e-14
 
-    def test_sonic_algebraic_identity(self):
-        # with the flow aligned to the axis, the pure second derivative cancels
-        got = convected_principal_part(2, 1.0, (1.0, 0.0)).apply(X * X)
-        assert not got
+    def test_near_sonic_pivot_coefficient(self):
+        # with the flow aligned to the axis, the pure second derivative nearly cancels
+        rho0 = 1.3
+        got = constant_flow_split(2, rho0, (0.999, 0.0)).principal(X * X)
+        assert got.coeffs == {(0, 0): pytest.approx(2 * rho0 * (1 - 0.999**2), rel=1e-12)}
 
     def test_cross_term(self):
-        got = convected_principal_part(2, 1.0, (0.3, -0.5)).apply(X.mul_truncated(Y, None))
+        got = constant_flow_split(2, 1.0, (0.3, -0.5)).principal(X.mul_truncated(Y, None))
         assert got.coeffs == {(0, 0): pytest.approx(2 * 0.3 * 0.5)}
+
+
+def term_by_term_convected(rho, mach, kappa, degree):
+    """Reference remainder and target of the convected split, assembled term by term.
+
+    The whole truncated operator over exp(P) is built from rho and M on
+    every call; the remainder is that operator minus the frozen-coefficient
+    Hessian block rho0 * (Lap - (M0 . grad)^2).
+    """
+    dim = rho.dim
+    bound = degree - 2
+    rho0 = rho.coeffs.get((0,) * dim, 0j)
+    mach0 = [m.coeffs.get((0,) * dim, 0j) for m in mach]
+    div_rho_m = GradedPoly.zero(dim)
+    for i in range(dim):
+        div_rho_m = div_rho_m + rho.mul_truncated(mach[i], None).partial(i)
+
+    def apply_full(poly):
+        grads = poly.gradient()
+        mach_dot_grad = GradedPoly.zero(dim)
+        for i in range(dim):
+            mach_dot_grad = mach_dot_grad + mach[i].mul_truncated(grads[i], bound)
+        out = rho.mul_truncated(poly.laplacian(), bound)
+        for i in range(dim):
+            out = out + rho.partial(i).mul_truncated(grads[i], bound)
+        for i in range(dim):
+            for j in range(dim):
+                advect = mach[i].mul_truncated(mach[j].partial(i), bound)
+                advect = advect.mul_truncated(grads[j], bound)
+                out = out - rho.mul_truncated(advect, bound)
+        transport = div_rho_m - rho.scaled(2j * kappa)
+        out = out - transport.mul_truncated(mach_dot_grad, bound)
+        for i in range(dim):
+            for j in range(dim):
+                hess = rho.mul_truncated(mach[i], bound).mul_truncated(mach[j], bound)
+                out = out - hess.mul_truncated(poly.hessian_entry(i, j), bound)
+        for g in grads:
+            out = out + rho.mul_truncated(g.mul_truncated(g, bound), bound)
+        out = out - rho.mul_truncated(mach_dot_grad.mul_truncated(mach_dot_grad, bound), bound)
+        return out.truncate(bound)
+
+    def principal(poly):
+        out = poly.laplacian().scaled(rho0)
+        for i in range(dim):
+            for j in range(dim):
+                out = out - poly.hessian_entry(i, j).scaled(rho0 * mach0[i] * mach0[j])
+        return out
+
+    def remainder(poly):
+        return apply_full(poly) - principal(poly)
+
+    target = -(div_rho_m.scaled(1j * kappa) + rho.scaled(kappa**2)).truncate(bound)
+    return remainder, target
+
+
+class TestConvectedReference:
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("degree", [3, 4, 5, 6])
+    def test_split_matches_term_by_term_operator(self, dim, degree):
+        # variable rho (degree 3) and complex M (degree 2), complex kappa
+        rng = np.random.default_rng(10 * dim + degree)
+        rho = GradedPoly.constant(dim, complex(*rng.uniform(0.8, 1.2, 2)))
+        rho = rho + random_poly(rng, dim, 3, min_degree=1).scaled(0.2)
+        mach = [
+            GradedPoly.constant(dim, complex(*rng.uniform(-0.3, 0.3, 2)))
+            + random_poly(rng, dim, 2, min_degree=1).scaled(0.1)
+            for _ in range(dim)
+        ]
+        kappa = 3 + 0.5j
+        split = make_convected_split(rho, mach, kappa, degree)
+        remainder, target = term_by_term_convected(rho, mach, kappa, degree)
+        assert (split.rhs - target).max_abs() <= 1e-13 * max(1.0, target.max_abs())
+        for _ in range(5):
+            poly = random_poly(rng, dim, degree)
+            expected = remainder(poly)
+            got = split.remainder(poly)
+            assert (got - expected).max_abs() <= 1e-13 * max(1.0, expected.max_abs())
+
+    def test_constant_flow_remainder_structure_is_exact(self):
+        # constant coefficients: the remainder is gradient products only, so
+        # layers below the shift and the top-layer image are exact zeros
+        split = constant_flow_split(3, 1.2, (0.3, -0.2, 0.1), kappa=3 + 0.5j, degree=6)
+        report = verify_split(split, trials=10, seed=3)
+        worst = {check.check: check.max_violation for check in report.checks}
+        assert worst["remainder_top_zero"] == 0.0
+        assert worst["remainder_degree_shift"] == 0.0
 
 
 class TestConvectedSplit:
