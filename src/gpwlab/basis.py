@@ -2,9 +2,11 @@
 
 A generalized plane wave is exp(P(x - center)) with a polynomial phase P
 whose linear part mimics a plane wave and whose higher layers are the
-corrections produced by the layered construction.  Each built function
-carries the certificate that its phase satisfies the truncated operator
-equation.
+corrections produced by the layered construction.  A family is built as
+one stack of phases, one row per direction, through a single layered
+construction and a single certificate evaluation; a single function is a
+family of one.  Each built function carries the certificate that its phase
+satisfies the truncated operator equation.
 """
 from __future__ import annotations
 
@@ -79,13 +81,15 @@ def _check_unit(direction: Sequence[complex]) -> tuple[complex, ...]:
 
 
 def linear_phase(dim: int, wavenumber: complex, direction: Sequence[complex]) -> GradedPoly:
-    """i * wavenumber * (direction . X), the classical plane-wave phase."""
-    coeffs = {}
+    """i * wavenumber * (direction . X), the classical plane-wave phase, of degree cap 1."""
+    if len(direction) != dim:
+        raise ValueError("direction dimension mismatch")
+    vec = np.zeros(dim + 1, dtype=complex)
     for axis, component in enumerate(direction):
         if component != 0.0:
-            index = tuple(1 if i == axis else 0 for i in range(dim))
-            coeffs[index] = 1j * complex(wavenumber) * component
-    return GradedPoly(dim, coeffs)
+            # graded-lex order: the constant, then X_{dim-1}, ..., X_0
+            vec[dim - axis] = 1j * complex(wavenumber) * component
+    return GradedPoly.from_vector(dim, vec)
 
 
 @dataclass(frozen=True)
@@ -120,13 +124,31 @@ class GpwFunction(ExpPhase):
         return super().__call__(point)
 
 
-def certificate_norm(split: OperatorSplit, phase: GradedPoly) -> float:
-    """Sup-norm of the truncated-operator residual, relative to the equation scale."""
+def _certificates(split: OperatorSplit, phase: GradedPoly) -> np.ndarray:
+    """Certificate of each row of a phase stack (a 0-d array for one phase).
+
+    Each row is the sup-norm of its truncated-operator residual over
+    max(1, |rhs|, |principal image|, |remainder image|), all sup-norms.
+    """
     principal = split.principal(phase)
     remainder = split.remainder(phase)
     residual = (principal + remainder) - split.rhs
-    scale = max(1.0, split.rhs.max_abs(), principal.max_abs(), remainder.max_abs())
-    return residual.max_abs() / scale
+    scale = np.maximum(
+        max(1.0, split.rhs.max_abs()), np.maximum(_row_max_abs(principal), _row_max_abs(remainder))
+    )
+    return _row_max_abs(residual) / scale
+
+
+def _row_max_abs(poly: GradedPoly) -> np.ndarray:
+    return np.abs(poly.vec).max(axis=-1, initial=0.0)
+
+
+def certificate_norm(split: OperatorSplit, phase: GradedPoly) -> float:
+    """Sup-norm of the truncated-operator residual, relative to the equation scale.
+
+    For a stack of phases, the largest certificate of its rows.
+    """
+    return float(_certificates(split, phase).max())
 
 
 def build_gpw(
@@ -135,49 +157,60 @@ def build_gpw(
     center: Sequence[float] | None = None,
     tol: float = 1e-11,
 ) -> GpwFunction:
-    """Build the generalized plane wave for one propagation direction.
-
-    The linear phase coefficients are i*k*direction with k from the
-    split's dispersion data, the constant term is zero so the function is
-    1 at the center, and all remaining free components are zero.  The
-    residual certificate is recomputed after the construction; a residual
-    above ``tol`` aborts with a diagnostic.
-    """
-    direction = _check_unit(direction)
-    if len(direction) != split.dim:
-        raise ValueError("direction dimension mismatch")
-    if split.dispersion_wavenumber is None:
-        raise ValueError("split carries no dispersion data for basis initialization")
-    center = tuple(float(c) for c in center) if center is not None else (0.0,) * split.dim
-    wavenumber = split.dispersion_wavenumber(direction)
-    params = FreeParameters(
-        base=linear_phase(split.dim, wavenumber, direction),
-        free=FreeParameters.zeros(split).free,
-    )
-    phase = preimage(split, split.rhs, params)
-    residual = certificate_norm(split, phase)
-    if residual > tol:
-        raise CertificateError(
-            f"{split.label} phase for direction {direction} has residual "
-            f"{residual:.3e} > {tol:.1e}"
-        )
-    return GpwFunction(
-        center=center,
-        phase=phase,
-        degree=split.source_degree,
-        direction=direction,
-        operator=split.label,
-        residual_norm=residual,
-    )
+    """Build the generalized plane wave for one propagation direction: a family of one."""
+    return build_family(split, [direction], center=center, tol=tol)[0]
 
 
 def build_family(
     split: OperatorSplit,
-    direction_set: Iterable[Sequence[float]],
+    direction_set: Iterable[Sequence[complex]],
     center: Sequence[float] | None = None,
     tol: float = 1e-11,
 ) -> list[GpwFunction]:
-    return [build_gpw(split, d, center=center, tol=tol) for d in direction_set]
+    """Build the generalized plane waves of a direction family, in the given order.
+
+    The linear phase coefficients of each direction are i*k*direction with
+    k from the split's dispersion data, the constant term is zero so each
+    function is 1 at the center, and all remaining free components are
+    zero.  The linear phases are stacked and solved for in one layered
+    construction; every row is the phase its direction gets when built
+    alone, bit for bit.  The residual certificates are recomputed after the
+    construction; the first direction whose residual exceeds ``tol`` aborts
+    with a diagnostic.
+    """
+    directions = [_check_unit(d) for d in direction_set]
+    if any(len(d) != split.dim for d in directions):
+        raise ValueError("direction dimension mismatch")
+    if split.dispersion_wavenumber is None:
+        raise ValueError("split carries no dispersion data for basis initialization")
+    if not directions:
+        return []
+    center = tuple(float(c) for c in center) if center is not None else (0.0,) * split.dim
+    params = FreeParameters(
+        base=GradedPoly.stack([
+            linear_phase(split.dim, split.dispersion_wavenumber(d), d) for d in directions
+        ]),
+        free=FreeParameters.zeros(split).free,
+    )
+    phases = preimage(split, split.rhs, params)
+    residuals = _certificates(split, phases).tolist()
+    for direction, residual in zip(directions, residuals):
+        if residual > tol:
+            raise CertificateError(
+                f"{split.label} phase for direction {direction} has residual "
+                f"{residual:.3e} > {tol:.1e}"
+            )
+    return [
+        GpwFunction(
+            center=center,
+            phase=phase,
+            degree=split.source_degree,
+            direction=direction,
+            operator=split.label,
+            residual_norm=residual,
+        )
+        for phase, direction, residual in zip(phases.rows(), directions, residuals)
+    ]
 
 
 def plane_wave(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import reprlib
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -113,7 +114,7 @@ def _parse_scalar(value) -> complex:
         return complex(value)
     if isinstance(value, (list, tuple)) and len(value) == 2:
         return complex(float(value[0]), float(value[1]))
-    raise ConfigError(f"expected a number or [re, im] pair, got {value!r}")
+    raise ConfigError(f"expected a number or [re, im] pair, got {reprlib.repr(value)}")
 
 
 def _records_degree(records) -> int:
@@ -142,7 +143,7 @@ def _parse_coefficient(value, config: RunConfig) -> CoefficientJet:
         except (KeyError, TypeError, ValueError) as err:
             raise ConfigError(f"bad polynomial records: {err}") from err
         return as_jet(poly)
-    raise ConfigError(f"cannot read coefficient {value!r}")
+    raise ConfigError(f"cannot read coefficient {reprlib.repr(value)}")
 
 
 @dataclass(frozen=True)
@@ -186,9 +187,9 @@ def _build_problem(config: RunConfig) -> Problem:
         elif preset is None:
             jet = _parse_coefficient(op.pop("kappa_sq_jet"), config)
         else:
-            raise ConfigError(f"unknown helmholtz preset {preset!r}")
+            raise ConfigError(f"unknown helmholtz preset {reprlib.repr(preset)}")
         if op:
-            raise ConfigError(f"unused operator fields: {sorted(op)}")
+            raise ConfigError(f"unused operator fields: {reprlib.repr(sorted(op))}")
         return Problem(make_helmholtz_split(jet, config.degree))
     if kind == "convected":
         rho = _parse_coefficient(op.pop("rho"), config)
@@ -198,9 +199,9 @@ def _build_problem(config: RunConfig) -> Problem:
             raise ConfigError("mach must list one component per dimension")
         mach = [_parse_coefficient(m, config) for m in mach_raw]
         if op:
-            raise ConfigError(f"unused operator fields: {sorted(op)}")
+            raise ConfigError(f"unused operator fields: {reprlib.repr(sorted(op))}")
         return Problem(make_convected_split(rho, mach, kappa, config.degree))
-    raise ConfigError(f"operator type must be helmholtz or convected, got {kind!r}")
+    raise ConfigError(f"operator type must be helmholtz or convected, got {reprlib.repr(kind)}")
 
 
 def _write(path: Path, text: str, quiet: bool) -> None:
@@ -241,7 +242,8 @@ def cmd_verify(config: RunConfig, out: Path, quiet: bool) -> int:
         if (phi.degree, phi.center, phi.operator or label) != (config.degree, config.center, label):
             raise ConfigError(
                 f"basis function {index} has p={phi.degree}, x0={phi.center}, operator "
-                f"{phi.operator!r}; the config has p={config.degree}, x0={config.center}, {label!r}"
+                f"{reprlib.repr(phi.operator)}; the config has p={config.degree}, "
+                f"x0={config.center}, {label!r}"
             )
     hypotheses = verify_split(problem.split, trials=50, seed=config.seed)
     functions = []

@@ -147,7 +147,8 @@ def preimage(
     whatever the target still requires once the remainder of the lower
     layers is accounted for.  The remainder only probes layers already
     fixed, which is exactly the prefix-locality hypothesis checked by
-    :func:`verify_split`.
+    :func:`verify_split`.  A stacked base (see :mod:`gpwlab.polycore`)
+    gives the stack of preimages, one per row, in one pass.
     """
     if params is None:
         params = FreeParameters.zeros(split)

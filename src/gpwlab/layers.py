@@ -5,11 +5,14 @@ with at least one pure second derivative present.  The variable carrying
 that derivative is the pivot: monomials of each homogeneous layer split
 into a free block (pivot exponent 0 or 1) and a solvable block (pivot
 exponent >= 2), and the operator restricted to the solvable block is
-inverted by forward substitution in powers of the pivot variable.
+inverted by forward substitution in powers of the pivot variable.  The
+inverse blocks are cached by the content of the principal part, so every
+split with the same frozen part shares them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -36,8 +39,6 @@ class PrincipalPart2:
     dim: int
     coeffs: Mapping[MultiIndex, complex]
     pivot: int
-    # per layer: the inverse block of solve_layer, built on first use
-    _inverses: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         clean: dict[MultiIndex, complex] = {}
@@ -53,6 +54,8 @@ class PrincipalPart2:
             raise ValueError("pivot out of range")
         if self.pivot_coefficient == 0:
             raise ValueError("pure second derivative in the pivot variable must be nonzero")
+        # the content that determines the layer inverses of solve_layer
+        object.__setattr__(self, "_key", (self.dim, self.pivot, tuple(sorted(clean.items()))))
 
     @property
     def pivot_coefficient(self) -> complex:
@@ -100,29 +103,54 @@ def solve_layer(part: PrincipalPart2, rhs: HomogeneousPoly) -> HomogeneousPoly:
     """Invert the principal part on the solvable block of one layer.
 
     Returns the unique q of degree rhs.degree + 2, supported on monomials
-    with pivot exponent >= 2, such that part.apply(q) == rhs.  Pair each
-    monomial m of the layer with the solvable monomial m * t^2, t the
-    pivot variable.  The image of m * t^2 is lead * (i+2)(i+1) * m, with
-    lead the pure second-derivative coefficient in the pivot variable and
-    i the pivot exponent of m, plus terms whose pivot exponent is i + 1
-    (one pivot derivative) or i + 2 (none).  Ordered by pivot exponent,
-    the block of the operator between the two bases is therefore lower
-    triangular with that diagonal; its inverse comes from forward
-    substitution, once per layer, and a solve is one matrix-vector product.
+    with pivot exponent >= 2, such that part.apply(q) == rhs; a stack of
+    layers gives the stack of solutions.  Pair each monomial m of the layer
+    with the solvable monomial m * t^2, t the pivot variable.  The image of
+    m * t^2 is lead * (i+2)(i+1) * m, with lead the pure second-derivative
+    coefficient in the pivot variable and i the pivot exponent of m, plus
+    terms whose pivot exponent is i + 1 (one pivot derivative) or i + 2
+    (none).  Ordered by pivot exponent, the block of the operator between the
+    two bases is therefore lower triangular with that diagonal; its inverse
+    comes from forward substitution, once per layer and principal part.  A
+    solve forms the products of the right-hand side with the inverse's
+    columns and sums them over the columns with :func:`_tree_sum`, so each
+    row of a stack is summed alone and exactly as a single layer would be.
     """
     if rhs.dim != part.dim:
         raise ValueError("dimension mismatch")
-    if rhs.degree not in part._inverses:
-        part._inverses[rhs.degree] = _layer_inverse(part, rhs.degree)
-    order, positions, inverse = part._inverses[rhs.degree]
-    q = np.zeros(layer_dimension(part.dim, rhs.degree + 2), dtype=complex)
-    q[positions] = inverse @ rhs.vec[order]
+    order, positions, columns = _layer_inverse(part._key, rhs.degree)
+    need = rhs.vec[..., order].T  # (column, [row of the stack])
+    if need.ndim > 1:
+        columns = columns[:, None, :]
+    solved = _tree_sum(need[..., None] * columns)
+    q = np.zeros(rhs.vec.shape[:-1] + (layer_dimension(part.dim, rhs.degree + 2),), dtype=complex)
+    q[..., positions] = solved
     return HomogeneousPoly.from_vector(part.dim, rhs.degree + 2, q)
 
 
-def _layer_inverse(part: PrincipalPart2, layer: int) -> tuple[np.ndarray, ...]:
-    """Row order, solvable positions in layer + 2 and the inverse block of solve_layer."""
-    dim, k = part.dim, part.pivot
+def _tree_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over the first axis by a fixed tree of elementwise additions, in place.
+
+    Level by level, entry k + keep is added to entry k, keep the upper half
+    of the length; the order depends only on the length of the first axis,
+    never on the other axes, so no sum mixes rows or changes with the size
+    of a stack.
+    """
+    while len(terms) > 1:
+        keep = (len(terms) + 1) // 2
+        terms[: len(terms) - keep] += terms[keep:]
+        terms = terms[:keep]
+    return terms[0]
+
+
+@lru_cache(maxsize=128)
+def _layer_inverse(key: tuple, layer: int) -> tuple[np.ndarray, ...]:
+    """Row order, solvable positions in layer + 2 and the columns of the inverse block.
+
+    ``key`` is a principal part's ``(dim, pivot, sorted coefficients)``.
+    """
+    dim, k, coeffs = key
+    part = PrincipalPart2(dim, dict(coeffs), k)
     rows = monomials_of_degree(dim, layer)
     order = np.array(sorted(range(len(rows)), key=lambda r: rows[r][k]), dtype=np.int64)
     target = {index: i for i, index in enumerate(monomials_of_degree(dim, layer + 2))}
@@ -139,9 +167,10 @@ def _layer_inverse(part: PrincipalPart2, layer: int) -> tuple[np.ndarray, ...]:
     identity = np.eye(len(rows), dtype=complex)
     for r in range(len(rows)):
         inverse[r] = (identity[r] - block[r, :r] @ inverse[:r]) / block[r, r]
-    for array in (order, positions, inverse):
+    columns = np.ascontiguousarray(inverse.T)
+    for array in (order, positions, columns):
         array.setflags(write=False)
-    return order, positions, inverse
+    return order, positions, columns
 
 
 def operator_matrix(part: PrincipalPart2, degree: int) -> np.ndarray:

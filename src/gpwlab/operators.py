@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
+import numpy as np
+
 from .frame import OperatorSplit
 from .layers import PrincipalPart2, solve_layer, split_layer
 from .polycore import GradedPoly, HomogeneousPoly
@@ -251,15 +253,17 @@ def convected_residual_at(
     rho0: complex,
     mach0: Sequence[complex],
     kappa: complex,
-    offset: Sequence[float],
-) -> complex:
-    """Constant-coefficient convected operator applied to exp(phase), at one point.
+    offsets: Sequence[Sequence[float]] | np.ndarray,
+) -> np.ndarray:
+    """Constant-coefficient convected operator applied to exp(phase), at many points.
 
     For constant rho and M the operator reduces to
     rho0 * (Lap - (M0 . grad)^2 + 2 i kappa M0 . grad + kappa^2); applied to
-    an exponential of a polynomial phase this is an exact polynomial times
-    the exponential, evaluated here without any truncation.  Independent
-    check for constant-coefficient basis functions.
+    an exponential of a polynomial phase this is an exact polynomial symbol
+    times the exponential.  The symbol is built once, without any
+    truncation, and it and the phase are evaluated at the rows of the
+    (n, dim) array ``offsets``; returns the n values.  Independent check for
+    constant-coefficient basis functions.
     """
     grads = phase.gradient()
     along = GradedPoly.zero(phase.dim)
@@ -281,7 +285,7 @@ def convected_residual_at(
         + along.scaled(2j * kappa)
         + GradedPoly.constant(phase.dim, kappa**2)
     )
-    return rho0 * symbol.evaluate(offset) * cmath.exp(phase.evaluate(offset))
+    return rho0 * symbol.evaluate_many(offsets) * np.exp(phase.evaluate_many(offsets))
 
 
 # -- coefficient presets --------------------------------------------------

@@ -8,6 +8,20 @@ so on.  The homogeneous layer of each degree is therefore one contiguous
 slice, and truncation keeps a prefix.  :class:`HomogeneousPoly` is such a
 slice on its own.
 
+A vector may carry one leading stack axis: ``vec`` of shape ``(n, size)``
+holds ``n`` polynomials of one ``dim`` and ``cap`` (a stack), built with
+:meth:`GradedPoly.stack` and split again with :meth:`GradedPoly.rows`.
+The ring and grading kernels act along the last axis, so products (stack
+by stack or one polynomial by a stack), derivatives, truncation, layers,
+scaling, ``+``, ``-`` and shifts treat each row as the one-row kernel
+would, bit for bit: no sum ever mixes rows, and each row's sums run in the
+same order as for a single polynomial.  The accessors ``coeffs``,
+``degree``, ``max_abs`` and ``bool`` answer for the stack as a whole: the
+monomials non-zero in any row (each mapped to the tuple of its row
+values), the highest row degree, the largest magnitude and whether any row
+is non-zero.  Evaluation and records are for single polynomials; a stack
+never equals a single polynomial.
+
 The kernels are gathers over index tables that depend only on the
 dimension and the degrees involved.  Each table is built once, with numpy,
 and cached:
@@ -196,7 +210,15 @@ def _as_points(points: Sequence[Sequence[Scalar]] | np.ndarray, dim: int) -> np.
 
 
 def _reduce(positions: np.ndarray, terms: np.ndarray, size: int) -> np.ndarray:
-    """Complex sums of terms by position, each in the order the terms are listed."""
+    """Complex sums of terms by position along the last axis, in the order listed.
+
+    A stack of term rows is one ``bincount`` over positions offset by
+    ``size`` per row, so each row is summed alone and in its own order.
+    """
+    if terms.ndim > 1:
+        rows = len(terms)
+        positions = (positions + size * np.arange(rows)[:, None]).ravel()
+        return _reduce(positions, terms.ravel(), rows * size).reshape(rows, size)
     out = np.empty(size, dtype=complex)
     out.real = np.bincount(positions, terms.real, size)
     out.imag = np.bincount(positions, terms.imag, size)
@@ -204,11 +226,33 @@ def _reduce(positions: np.ndarray, terms: np.ndarray, size: int) -> np.ndarray:
 
 
 def _padded(vec: np.ndarray, size: int) -> np.ndarray:
-    if len(vec) == size:
+    if vec.shape[-1] == size:
         return vec
-    out = np.zeros(size, dtype=complex)
-    out[: len(vec)] = vec
+    out = np.zeros(vec.shape[:-1] + (size,), dtype=complex)
+    out[..., : vec.shape[-1]] = vec
     return out
+
+
+def _gather(vec: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``vec[..., index]``; a single vector takes numpy's faster one-axis form."""
+    return vec[index] if vec.ndim == 1 else vec[:, index]
+
+
+def _times(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Elementwise product; a single operand meets a stack as a stack of one row.
+
+    numpy multiplies a one-element vector by a one-element stack with another
+    complex kernel, and other rounding, than two one-element vectors; with
+    equal ranks every row gets the one-row result.
+    """
+    if left.ndim != right.ndim:
+        left, right = np.atleast_2d(left), np.atleast_2d(right)
+    return left * right
+
+
+def _zeros(vec: np.ndarray, size: int = 0) -> np.ndarray:
+    """Zero coefficients, ``size`` per row, with the stack axis of ``vec``."""
+    return np.zeros(vec.shape[:-1] + (size,), dtype=complex)
 
 
 def _cap_of(dim: int, size: int) -> int:
@@ -235,13 +279,23 @@ class _Poly:
     def _monomials(self) -> Sequence[MultiIndex]:
         raise NotImplementedError
 
+    def _support(self) -> np.ndarray:
+        """Positions non-zero in any row, ascending."""
+        return np.flatnonzero(self.vec if self.vec.ndim == 1 else self.vec.any(axis=0))
+
     @property
     def coeffs(self) -> Mapping[MultiIndex, complex]:
-        """Read-only mapping of the non-zero terms, graded-lex ordered."""
+        """Read-only mapping of the non-zero terms, graded-lex ordered.
+
+        On a stack, each monomial non-zero in some row maps to the tuple of
+        its values in every row.
+        """
         if self._coeffs is None:
-            nonzero = np.flatnonzero(self.vec)
+            nonzero = self._support()
             monomials = self._monomials()
-            terms = dict(zip([monomials[i] for i in nonzero], self.vec[nonzero].tolist()))
+            values = self.vec[..., nonzero]
+            values = values.tolist() if values.ndim == 1 else list(map(tuple, values.T.tolist()))
+            terms = dict(zip([monomials[i] for i in nonzero], values))
             object.__setattr__(self, "_coeffs", MappingProxyType(terms))
         return self._coeffs
 
@@ -313,11 +367,14 @@ class HomogeneousPoly(_Poly):
 
     @classmethod
     def from_vector(cls, dim: int, degree: int, vec: Sequence[Scalar]) -> "HomogeneousPoly":
-        """Layer from its coefficients in graded-lex order; the values are copied."""
+        """Layer from its coefficients in graded-lex order; the values are copied.
+
+        A two-dimensional ``vec`` gives a stack of layers, one per row.
+        """
         if dim < 1 or degree < 0:
             raise ValueError("need dimension >= 1 and degree >= 0")
         vec = np.array(vec, dtype=complex)
-        if vec.shape != (layer_dimension(dim, degree),):
+        if vec.ndim not in (1, 2) or vec.shape[-1] != layer_dimension(dim, degree):
             raise ValueError(
                 f"layer {degree} in dimension {dim} needs "
                 f"{layer_dimension(dim, degree)} coefficients"
@@ -359,8 +416,8 @@ class HomogeneousPoly(_Poly):
         return _homogeneous(self.dim, self.degree, self.vec * complex(factor))
 
     def as_graded(self) -> "GradedPoly":
-        vec = np.zeros(space_dimension(self.dim, self.degree), dtype=complex)
-        vec[space_dimension(self.dim, self.degree - 1):] = self.vec
+        vec = _zeros(self.vec, size=space_dimension(self.dim, self.degree))
+        vec[..., space_dimension(self.dim, self.degree - 1):] = self.vec
         return _graded(self.dim, self.degree, vec)
 
 
@@ -420,14 +477,33 @@ class GradedPoly(_Poly):
         """Polynomial from graded-lex coefficients of every monomial up to a degree cap.
 
         The length of ``vec`` must be ``space_dimension(dim, cap)`` for some
-        cap; the values are copied.
+        cap; the values are copied.  A two-dimensional ``vec`` gives a stack,
+        one polynomial per row.
         """
         if dim < 1:
             raise ValueError("dimension must be at least 1")
         vec = np.array(vec, dtype=complex)
-        if vec.ndim != 1:
-            raise ValueError("coefficients must form one vector")
-        return _graded(dim, _cap_of(dim, len(vec)), vec)
+        if vec.ndim not in (1, 2):
+            raise ValueError("coefficients must form one vector or one row per polynomial")
+        return _graded(dim, _cap_of(dim, vec.shape[-1]), vec)
+
+    @classmethod
+    def stack(cls, polys: Sequence["GradedPoly"]) -> "GradedPoly":
+        """Stack of single polynomials of one dimension, padded to the largest cap."""
+        if not polys:
+            raise ValueError("need at least one polynomial to stack")
+        dim = polys[0].dim
+        if any(p.dim != dim or p.vec.ndim != 1 for p in polys):
+            raise ValueError("can only stack single polynomials of one dimension")
+        cap = max(p.cap for p in polys)
+        size = space_dimension(dim, cap)
+        return _graded(dim, cap, np.array([_padded(p.vec, size) for p in polys]))
+
+    def rows(self) -> tuple["GradedPoly", ...]:
+        """The polynomials of a stack, in order, each at the stack's cap; (self,) if single."""
+        if self.vec.ndim == 1:
+            return (self,)
+        return tuple(_graded(self.dim, self.cap, row) for row in self.vec)
 
     def __reduce__(self):
         return (GradedPoly.from_vector, (self.dim, self.vec))
@@ -440,10 +516,11 @@ class GradedPoly(_Poly):
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GradedPoly):
             return NotImplemented
-        if other.dim != self.dim:
+        if other.dim != self.dim or other.vec.shape[:-1] != self.vec.shape[:-1]:
             return False
         long, short = (self.vec, other.vec) if self.cap >= other.cap else (other.vec, self.vec)
-        return bool(np.array_equal(long[: len(short)], short) and not long[len(short):].any())
+        size = short.shape[-1]
+        return bool(np.array_equal(long[..., :size], short) and not long[..., size:].any())
 
     def __add__(self, other: "GradedPoly") -> "GradedPoly":
         if not isinstance(other, GradedPoly):
@@ -477,17 +554,17 @@ class GradedPoly(_Poly):
             raise ValueError("dimension mismatch")
         top = self.cap + other.cap if bound is None else min(bound, self.cap + other.cap)
         if self.cap < 0 or other.cap < 0 or top < 0:
-            return _graded(self.dim, -1, _EMPTY)
+            return _graded(self.dim, -1, _zeros(max(self.vec, other.vec, key=np.ndim)))
         ia, ib, out = _product_table(self.dim, min(self.cap, top), min(other.cap, top), top)
-        terms = self.vec[ia] * other.vec[ib]
+        terms = _times(_gather(self.vec, ia), _gather(other.vec, ib))
         return _graded(self.dim, top, _reduce(out, terms, space_dimension(self.dim, top)))
 
     # -- grading ------------------------------------------------------
 
     @property
     def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        nonzero = np.flatnonzero(self.vec)
+        """Total degree (of the highest row of a stack); -1 for the zero polynomial."""
+        nonzero = self._support()
         return int(_basis(self.dim, self.cap).degrees[nonzero[-1]]) if nonzero.size else -1
 
     def truncate(self, bound: int) -> "GradedPoly":
@@ -495,17 +572,16 @@ class GradedPoly(_Poly):
         if bound >= self.cap:
             return self
         cap = max(bound, -1)
-        return _graded(self.dim, cap, self.vec[: space_dimension(self.dim, cap)])
+        return _graded(self.dim, cap, self.vec[..., : space_dimension(self.dim, cap)])
 
     def layer(self, degree: int) -> HomogeneousPoly:
         if degree < 0:
             raise ValueError("degree must be non-negative")
+        size = layer_dimension(self.dim, degree)
         if degree > self.cap:
-            return HomogeneousPoly.zero(self.dim, degree)
+            return _homogeneous(self.dim, degree, _zeros(self.vec, size=size))
         start = space_dimension(self.dim, degree - 1)
-        return _homogeneous(
-            self.dim, degree, self.vec[start: start + layer_dimension(self.dim, degree)]
-        )
+        return _homogeneous(self.dim, degree, self.vec[..., start: start + size])
 
     def layers(self) -> Iterator[HomogeneousPoly]:
         for n in range(self.degree + 1):
@@ -522,9 +598,9 @@ class GradedPoly(_Poly):
             raise ValueError(f"negative derivative order in {index}")
         cap = self.cap - sum(index)
         if cap < 0:
-            return _graded(self.dim, -1, _EMPTY)
+            return _graded(self.dim, -1, _zeros(self.vec))
         source, factor = derivative_table(self.dim, self.cap, index)
-        return _graded(self.dim, cap, self.vec[source] * factor)
+        return _graded(self.dim, cap, _gather(self.vec, source) * factor)
 
     def partial(self, axis: int) -> "GradedPoly":
         return self.derive(tuple(1 if i == axis else 0 for i in range(self.dim)))
@@ -562,8 +638,8 @@ class GradedPoly(_Poly):
         if self.cap < 0:
             return self
         ia, ib, gap, binomial = _shift_table(self.dim, self.cap)
-        terms = self.vec[ia] * (binomial * np.prod(offset**gap, axis=1))
-        return _graded(self.dim, self.cap, _reduce(ib, terms, len(self.vec)))
+        terms = _times(_gather(self.vec, ia), binomial * np.prod(offset**gap, axis=1))
+        return _graded(self.dim, self.cap, _reduce(ib, terms, self.vec.shape[-1]))
 
     # -- serialization --------------------------------------------------
 

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from gpwlab.basis import (
     unit_sphere_directions,
 )
 from gpwlab.frame import corrupted, random_poly
-from gpwlab.operators import make_helmholtz_split
+from gpwlab.operators import make_convected_split, make_helmholtz_split
 from gpwlab.polycore import GradedPoly
 
 
@@ -204,3 +205,85 @@ class TestRecords:
         assert records[0]["direction"][1] == pytest.approx([0.0, math.sinh(t)])
         back = family_from_records(records)
         assert back[0].direction == family[0].direction
+
+
+def variable_helmholtz_split(dim, degree=5):
+    rng = np.random.default_rng(60 + dim)
+    kappa_sq = random_poly(rng, dim, degree - 2) + GradedPoly.constant(dim, 9.0)
+    return make_helmholtz_split(kappa_sq, degree)
+
+
+def variable_convected_split(dim, degree=5):
+    rho = GradedPoly.constant(dim, 1.2) + GradedPoly.variable(dim, 0).scaled(0.1)
+    mach = [
+        GradedPoly.constant(dim, m) + GradedPoly.variable(dim, dim - 1).scaled(0.03 * (k + 1))
+        for k, m in enumerate((0.3, -0.2, 0.1)[:dim])
+    ]
+    return make_convected_split(rho, mach, 3.0 + 0.5j, degree)
+
+
+def mixed_directions(dim):
+    """Real directions plus one evanescent direction of unit bilinear norm."""
+    t = 0.4
+    evanescent = (math.cosh(t), 1j * math.sinh(t)) + (0.0,) * (dim - 2)
+    real = unit_circle_directions(4) if dim == 2 else unit_sphere_directions(4)
+    return real[:2] + [evanescent] + real[2:]
+
+
+def same_function(a, b):
+    return (
+        a.phase.cap == b.phase.cap
+        and a.phase.vec.tobytes() == b.phase.vec.tobytes()
+        and a.residual_norm == b.residual_norm
+        and a.direction == b.direction
+        and a.center == b.center
+    )
+
+
+class TestStackedFamily:
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("make", [variable_helmholtz_split, variable_convected_split])
+    def test_family_rows_equal_single_builds_bit_for_bit(self, dim, make):
+        split = make(dim)
+        dirs = mixed_directions(dim)
+        family = build_family(split, dirs, center=(0.1,) * dim)
+        assert len(family) == len(dirs)
+        for phi, direction in zip(family, dirs):
+            assert same_function(phi, build_gpw(split, direction, center=(0.1,) * dim))
+            assert phi.residual_norm <= 1e-11
+
+    def test_permuted_directions_give_permuted_functions(self):
+        split = variable_convected_split(3)
+        dirs = mixed_directions(3)
+        order = [3, 0, 4, 2, 1]
+        family = build_family(split, dirs)
+        permuted = build_family(split, [dirs[k] for k in order])
+        for k, phi in zip(order, permuted):
+            assert same_function(phi, family[k])
+
+    def test_certificate_error_names_first_failing_direction(self):
+        dirs = unit_circle_directions(5)
+        for first in (0, 3):
+            ordered = dirs[first:] + dirs[:first]
+            with pytest.raises(CertificateError, match=re.escape(f"direction {ordered[0]} ")):
+                build_family(corrupted(constant_split(degree=4)), ordered)
+
+    def test_tolerance_failure_names_first_failure_in_input_order(self):
+        split = variable_helmholtz_split(2)
+        dirs = unit_circle_directions(7)
+        residuals = [phi.residual_norm for phi in build_family(split, dirs)]
+        tol = sorted(residuals)[-3]  # exactly two directions lie above it
+        first = next(k for k, r in enumerate(residuals) if r > tol)
+        assert first > 0
+        with pytest.raises(CertificateError, match=re.escape(f"direction {dirs[first]} ")):
+            build_family(split, dirs, tol=tol)
+
+    def test_invalid_direction_in_the_middle_rejected(self):
+        dirs = unit_circle_directions(4)
+        with pytest.raises(ValueError):
+            build_family(constant_split(), dirs[:2] + [(1.0, 1.0)] + dirs[2:])
+        with pytest.raises(ValueError):
+            build_family(constant_split(), dirs[:2] + [(0.0, 0.0, 1.0)] + dirs[2:])
+
+    def test_empty_direction_set_gives_empty_family(self):
+        assert build_family(constant_split(), []) == []

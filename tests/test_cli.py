@@ -1,11 +1,13 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
-import gpwlab.basis
+import gpwlab.cli
 from gpwlab.basis import build_gpw, family_to_records
 from gpwlab.cli import ConfigError, RunConfig, build_problem, main
+from gpwlab.frame import corrupted
 from gpwlab.serialize import csv_text, json_text
 
 
@@ -94,6 +96,17 @@ class TestConfig:
         assert main(["build", "--config", str(config), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "kappa_sq", [json.dumps(list(range(5000))), "[" * 980 + "]" * 980], ids=["long", "deep"]
+    )
+    def test_offending_value_is_clipped_in_the_error_line(self, tmp_path, capsys, kappa_sq):
+        config = write_config(tmp_path / "c.json")
+        config.write_text(config.read_text().replace("25.0", kappa_sq))
+        assert main(["build", "--config", str(config), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert len(err.encode()) < 200
 
 
 class TestBuild:
@@ -242,7 +255,11 @@ class TestVerify:
 class TestCertificateFailure:
     @pytest.mark.parametrize("command", ["build", "rank", "converge"])
     def test_exits_1_without_traceback(self, tmp_path, capsys, monkeypatch, command):
-        monkeypatch.setattr(gpwlab.basis, "certificate_norm", lambda split, phase: 1.0)
+        def corrupted_problem(config):
+            problem = build_problem(config)
+            return replace(problem, split=corrupted(problem.split))
+
+        monkeypatch.setattr(gpwlab.cli, "build_problem", corrupted_problem)
         config = write_config(
             tmp_path / "c.json", h_values=[0.4, 0.2, 0.1, 0.05], operator=MANUFACTURED
         )

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gpwlab import layers
 from gpwlab.frame import random_homogeneous
 from gpwlab.layers import (
     PrincipalPart2,
@@ -104,6 +105,30 @@ class TestSolveLayer:
     def test_zero_source(self):
         q = solve_layer(laplace2(), HomogeneousPoly.zero(2, 3))
         assert not q and q.degree == 5
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_stack_rows_equal_single_solves_bit_for_bit(self, dim):
+        rng = np.random.default_rng(40 + dim)
+        mach0 = (0.4 + 0.1j, -0.3, 0.2)[:dim]
+        for part in (PrincipalPart2.laplace(dim), convected_part(dim, 1.3, mach0)):
+            for n in range(7):
+                for rows in (1, 2, 5):
+                    size = layer_dimension(dim, n)
+                    vec = rng.uniform(-1, 1, (rows, size)) + 1j * rng.uniform(-1, 1, (rows, size))
+                    stacked = solve_layer(part, HomogeneousPoly.from_vector(dim, n, vec))
+                    assert stacked.vec.shape == (rows, layer_dimension(dim, n + 2))
+                    for row, solved in zip(vec, stacked.vec):
+                        single = solve_layer(part, HomogeneousPoly.from_vector(dim, n, row))
+                        assert single.vec.tobytes() == solved.tobytes()
+
+    def test_parts_with_equal_content_share_inverses(self):
+        rhs = HomogeneousPoly(3, 2, {(1, 1, 0): 1.0})
+        solve_layer(PrincipalPart2.laplace(3), rhs)
+        before = layers._layer_inverse.cache_info()
+        again = solve_layer(PrincipalPart2.laplace(3), rhs)
+        after = layers._layer_inverse.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+        assert again == solve_layer(PrincipalPart2.laplace(3), rhs)
 
 
 class TestPivotSelection:

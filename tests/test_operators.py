@@ -3,6 +3,7 @@ import cmath
 import numpy as np
 import pytest
 
+from gpwlab.basis import build_family, unit_circle_directions, unit_sphere_directions
 from gpwlab.frame import random_poly, verify_split
 from gpwlab.operators import (
     CoefficientJet,
@@ -258,6 +259,31 @@ class TestConvectedReference:
         assert worst["remainder_degree_shift"] == 0.0
 
 
+def convected_residual_reference(phase, rho0, mach0, kappa, offset):
+    """The per-point constant-coefficient convected residual, term by term, at one point."""
+    grads = phase.gradient()
+    along = GradedPoly.zero(phase.dim)
+    for m, g in zip(mach0, grads):
+        along = along + g.scaled(m)
+    grad_sq = GradedPoly.zero(phase.dim)
+    for g in grads:
+        grad_sq = grad_sq + g.mul_truncated(g, None)
+    along_sq = along.mul_truncated(along, None)
+    along_deriv = GradedPoly.zero(phase.dim)
+    for i, mi in enumerate(mach0):
+        for j, mj in enumerate(mach0):
+            along_deriv = along_deriv + phase.hessian_entry(i, j).scaled(mi * mj)
+    symbol = (
+        phase.laplacian()
+        + grad_sq
+        - along_deriv
+        - along_sq
+        + along.scaled(2j * kappa)
+        + GradedPoly.constant(phase.dim, kappa**2)
+    )
+    return rho0 * symbol.evaluate(offset) * cmath.exp(phase.evaluate(offset))
+
+
 class TestConvectedSplit:
     def test_supersonic_rejected(self):
         rho = CoefficientJet.constant(2, 1.0)
@@ -333,8 +359,28 @@ class TestConvectedSplit:
         )
         direction = (0.0, 1.0)
         phase = plane_phase(2, split.dispersion_wavenumber(direction), direction)
-        for point in ((0.1, 0.2), (-0.3, 0.05)):
-            assert abs(convected_residual_at(phase, rho0, mach0, kappa, point)) <= 1e-12
+        values = convected_residual_at(phase, rho0, mach0, kappa, [(0.1, 0.2), (-0.3, 0.05)])
+        assert values.shape == (2,)
+        assert np.abs(values).max() <= 1e-12
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_batched_residual_matches_per_point_formula(self, dim):
+        rho0, kappa = 1.2, 3.0 + 0.5j
+        mach0 = (0.3, -0.2, 0.1)[:dim]
+        split = constant_flow_split(dim, rho0, mach0, kappa=kappa, degree=5)
+        rng = np.random.default_rng(30 + dim)
+        directions = unit_circle_directions(3) if dim == 2 else unit_sphere_directions(3)
+        phases = [phi.phase for phi in build_family(split, directions)]
+        phases.append(random_poly(rng, dim, 4))
+        offsets = rng.uniform(-0.5, 0.5, (20, dim))
+        for phase in phases:
+            batch = convected_residual_at(phase, rho0, mach0, kappa, offsets)
+            reference = [
+                convected_residual_reference(phase, rho0, mach0, kappa, tuple(point))
+                for point in offsets
+            ]
+            scale = max(abs(value) for value in reference)
+            assert np.abs(batch - reference).max() <= 1e-13 * scale
 
     def test_reduces_to_helmholtz_without_flow(self):
         rng = np.random.default_rng(14)

@@ -13,7 +13,7 @@ from gpwlab.polycore import (
     space_dimension,
 )
 
-from conftest import graded_polys, random_points
+from conftest import finite_coeffs, graded_polys, random_points
 
 X = GradedPoly.variable(2, 0)
 Y = GradedPoly.variable(2, 1)
@@ -410,3 +410,139 @@ class TestVectorLayout:
     def test_evaluate_many_checks_shape(self):
         with pytest.raises(ValueError):
             X.evaluate_many([(1.0, 2.0, 3.0)])
+
+
+# -- stacks: every kernel on a stack equals the one-row kernel, row by row --
+
+
+@st.composite
+def stacks(draw, dim, rows=None):
+    count = rows if rows is not None else draw(st.integers(1, 4))
+    return GradedPoly.stack([draw(graded_polys(dim=dim)) for _ in range(count)])
+
+
+def assert_rows_equal(stacked, singles):
+    """Each row of a stacked result has the bytes, and cap or degree, of its one-row result."""
+    assert stacked.vec.shape[:-1] == (len(singles),)
+    for row, single in zip(stacked.vec, singles):
+        assert single.vec.ndim == 1
+        assert row.tobytes() == single.vec.tobytes()
+    if isinstance(stacked, GradedPoly):
+        assert all(row.cap == stacked.cap for row in singles)
+    else:
+        assert all(row.degree == stacked.degree for row in singles)
+
+
+bounds = st.one_of(st.none(), st.integers(-2, 9))
+
+
+@given(st.data(), dims, bounds)
+def test_stack_products_match_rows(data, dim, bound):
+    a = data.draw(stacks(dim))
+    b = data.draw(stacks(dim, rows=len(a.rows())))
+    one = data.draw(graded_polys(dim=dim))
+    assert_rows_equal(a.mul_truncated(b, bound), [
+        x.mul_truncated(y, bound) for x, y in zip(a.rows(), b.rows())
+    ])
+    assert_rows_equal(one.mul_truncated(b, bound), [one.mul_truncated(y, bound) for y in b.rows()])
+    assert_rows_equal(a.mul_truncated(one, bound), [x.mul_truncated(one, bound) for x in a.rows()])
+
+
+@given(st.data(), dims)
+def test_stack_products_below_operand_degrees_match_rows(data, dim):
+    a = data.draw(stacks(dim))
+    one = data.draw(graded_polys(dim=dim, max_degree=5))
+    bound = max(min(a.degree, one.degree) - 1, 0)
+    assert_rows_equal(one.mul_truncated(a, bound), [one.mul_truncated(x, bound) for x in a.rows()])
+    assert_rows_equal(a * a, [x * x for x in a.rows()])
+
+
+@given(st.data(), dims, st.lists(st.integers(0, 6), min_size=3, max_size=3))
+def test_stack_derive_matches_rows(data, dim, orders):
+    a = data.draw(stacks(dim))
+    index = tuple(orders[:dim])
+    assert_rows_equal(a.derive(index), [x.derive(index) for x in a.rows()])
+    assert_rows_equal(a.laplacian(), [x.laplacian() for x in a.rows()])
+
+
+@given(st.data(), dims)
+def test_stack_sums_across_caps_match_rows(data, dim):
+    a = data.draw(stacks(dim))
+    b = data.draw(stacks(dim, rows=len(a.rows())))
+    one = data.draw(graded_polys(dim=dim, max_degree=6))
+    for left, right in ((a, b), (a, one), (one, a)):
+        lefts = left.rows() * len(a.rows()) if left is one else left.rows()
+        rights = right.rows() * len(a.rows()) if right is one else right.rows()
+        assert_rows_equal(left + right, [x + y for x, y in zip(lefts, rights)])
+        assert_rows_equal(left - right, [x - y for x, y in zip(lefts, rights)])
+
+
+@given(st.data(), dims, st.integers(-2, 6), finite_coeffs)
+def test_stack_grading_and_scaling_match_rows(data, dim, bound, factor):
+    a = data.draw(stacks(dim))
+    assert_rows_equal(a.truncate(bound), [x.truncate(bound) for x in a.rows()])
+    assert_rows_equal(a.scaled(factor), [x.scaled(factor) for x in a.rows()])
+    if bound >= 0:
+        layer = a.layer(bound)
+        assert_rows_equal(layer, [x.layer(bound) for x in a.rows()])
+        assert_rows_equal(layer.as_graded(), [x.layer(bound).as_graded() for x in a.rows()])
+        assert_rows_equal(layer + layer.scaled(factor), [
+            x.layer(bound) + x.layer(bound).scaled(factor) for x in a.rows()
+        ])
+        assert_rows_equal(layer - layer, [x.layer(bound) - x.layer(bound) for x in a.rows()])
+
+
+@given(st.data(), dims)
+def test_stack_shift_matches_rows(data, dim):
+    a = data.draw(stacks(dim))
+    offset = tuple(points_for(dim, 1, seed=3)[0])
+    assert_rows_equal(a.shifted(offset), [x.shifted(offset) for x in a.rows()])
+
+
+@given(st.data(), dims)
+def test_stack_accessors_answer_for_the_whole_stack(data, dim):
+    polys = [data.draw(graded_polys(dim=dim)) for _ in range(data.draw(st.integers(1, 4)))]
+    a = GradedPoly.stack(polys)
+    assert a.degree == max(p.degree for p in polys)
+    assert bool(a) == any(polys)
+    assert a.max_abs() == max(p.max_abs() for p in polys)
+    assert set(a.coeffs) == set().union(*(p.coeffs for p in polys))
+    for index, values in a.coeffs.items():
+        assert values == tuple(p.coeffs.get(index, 0j) for p in polys)
+    assert all(row == p for row, p in zip(a.rows(), polys))
+    assert GradedPoly.from_vector(dim, a.vec) == a
+
+
+class TestStackShape:
+    def test_stack_of_one_row_is_a_stack(self):
+        a = GradedPoly.stack([X + Y])
+        assert a.vec.shape == (1, 3)
+        assert a.rows() == (X + Y,)
+        assert (a * a).vec.shape == (1, 6)
+        assert a.layer(5).vec.shape == (1, 6)
+
+    def test_single_polynomial_is_its_own_row(self):
+        p = X + Y
+        assert p.rows() == (p,)
+
+    def test_stack_needs_rows_of_one_dimension(self):
+        with pytest.raises(ValueError):
+            GradedPoly.stack([])
+        with pytest.raises(ValueError):
+            GradedPoly.stack([X, GradedPoly.variable(3, 0)])
+        with pytest.raises(ValueError):
+            GradedPoly.stack([GradedPoly.stack([X])])
+
+    def test_one_term_times_a_stack_of_one_row(self):
+        # numpy rounds a one-element vector times a one-element stack differently
+        # from two one-element vectors; the kernels must not show it
+        one = GradedPoly.constant(1, 1.25 + 1j)
+        row = GradedPoly.constant(1, 1.238339800464216 + 1j)
+        stack = GradedPoly.stack([row])
+        for got, want in ((one.mul_truncated(stack, 0), one * row), (stack * one, row * one)):
+            assert got.vec[0].tobytes() == want.vec.tobytes()
+        offset = (0.5 - 0.25j,)
+        assert stack.shifted(offset).vec[0].tobytes() == row.shifted(offset).vec.tobytes()
+
+    def test_stack_differs_from_single(self):
+        assert GradedPoly.stack([X]) != X
