@@ -82,14 +82,8 @@ def _check_unit(direction: Sequence[complex]) -> tuple[complex, ...]:
 
 def linear_phase(dim: int, wavenumber: complex, direction: Sequence[complex]) -> GradedPoly:
     """i * wavenumber * (direction . X), the classical plane-wave phase, of degree cap 1."""
-    if len(direction) != dim:
-        raise ValueError("direction dimension mismatch")
-    vec = np.zeros(dim + 1, dtype=complex)
-    for axis, component in enumerate(direction):
-        if component != 0.0:
-            # graded-lex order: the constant, then X_{dim-1}, ..., X_0
-            vec[dim - axis] = 1j * complex(wavenumber) * component
-    return GradedPoly.from_vector(dim, vec)
+    ik = 1j * complex(wavenumber)
+    return GradedPoly.linear(dim, [ik * c if c != 0.0 else 0.0 for c in direction])
 
 
 @dataclass(frozen=True)
@@ -134,21 +128,14 @@ def _certificates(split: OperatorSplit, phase: GradedPoly) -> np.ndarray:
     remainder = split.remainder(phase)
     residual = (principal + remainder) - split.rhs
     scale = np.maximum(
-        max(1.0, split.rhs.max_abs()), np.maximum(_row_max_abs(principal), _row_max_abs(remainder))
+        max(1.0, split.rhs.max_abs()), np.maximum(principal.row_max_abs(), remainder.row_max_abs())
     )
-    return _row_max_abs(residual) / scale
-
-
-def _row_max_abs(poly: GradedPoly) -> np.ndarray:
-    return np.abs(poly.vec).max(axis=-1, initial=0.0)
+    return residual.row_max_abs() / scale
 
 
 def certificate_norm(split: OperatorSplit, phase: GradedPoly) -> float:
-    """Sup-norm of the truncated-operator residual, relative to the equation scale.
-
-    For a stack of phases, the largest certificate of its rows.
-    """
-    return float(_certificates(split, phase).max())
+    """Sup-norm of the truncated-operator residual, relative to the equation scale."""
+    return float(_certificates(split, phase))
 
 
 def build_gpw(

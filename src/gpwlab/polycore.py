@@ -19,8 +19,9 @@ same order as for a single polynomial.  The accessors ``coeffs``,
 ``degree``, ``max_abs`` and ``bool`` answer for the stack as a whole: the
 monomials non-zero in any row (each mapped to the tuple of its row
 values), the highest row degree, the largest magnitude and whether any row
-is non-zero.  Evaluation and records are for single polynomials; a stack
-never equals a single polynomial.
+is non-zero; ``row_max_abs`` gives the largest magnitude of each row.
+Evaluation and records are for single polynomials; a stack never equals a
+single polynomial.
 
 The kernels are gathers over index tables that depend only on the
 dimension and the degrees involved.  Each table is built once, with numpy,
@@ -192,6 +193,12 @@ def _shift_table(dim: int, cap: int) -> tuple[np.ndarray, ...]:
     return _frozen(ia), _frozen(ib), _frozen(exponents[ia] - exponents[ib]), _frozen(binomial)
 
 
+@lru_cache(maxsize=None)
+def _variable_positions(dim: int) -> np.ndarray:
+    """Positions of X_0, ..., X_{dim-1} among the monomials of degree <= 1."""
+    return _frozen(_basis(dim, 1).rank(np.eye(dim, dtype=np.int64)))
+
+
 def _vandermonde(dim: int, cap: int, points: np.ndarray) -> np.ndarray:
     """Rows: points; columns: the graded-lex monomials of degree <= cap at each point."""
     exponents = _basis(dim, cap).exponents
@@ -314,6 +321,10 @@ class _Poly:
 
     def max_abs(self) -> float:
         return float(np.abs(self.vec).max()) if self.vec.size else 0.0
+
+    def row_max_abs(self) -> np.ndarray:
+        """Largest magnitude of each row of a stack; a 0-d array for one polynomial."""
+        return np.abs(self.vec).max(axis=-1, initial=0.0)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.dim}, {dict(self.coeffs)!r})"
@@ -465,12 +476,22 @@ class GradedPoly(_Poly):
     def variable(cls, dim: int, axis: int) -> "GradedPoly":
         if not 0 <= axis < dim:
             raise ValueError(f"axis {axis} out of range for dimension {dim}")
-        index = tuple(1 if i == axis else 0 for i in range(dim))
-        return cls(dim, {index: 1.0 + 0j})
+        return cls.linear(dim, [1.0 if i == axis else 0.0 for i in range(dim)])
 
     @classmethod
     def monomial(cls, dim: int, index: MultiIndex, value: Scalar = 1.0) -> "GradedPoly":
         return cls(dim, {tuple(index): complex(value)})
+
+    @classmethod
+    def linear(cls, dim: int, gradient: Sequence[Scalar]) -> "GradedPoly":
+        """sum_i gradient[i] * X_i, of degree cap 1, with a zero constant term."""
+        if dim < 1:
+            raise ValueError("dimension must be at least 1")
+        if len(gradient) != dim:
+            raise ValueError(f"need {dim} linear coefficients, got {len(gradient)}")
+        vec = np.zeros(dim + 1, dtype=complex)
+        vec[_variable_positions(dim)] = gradient
+        return _graded(dim, 1, vec)
 
     @classmethod
     def from_vector(cls, dim: int, vec: Sequence[Scalar]) -> "GradedPoly":

@@ -411,6 +411,18 @@ class TestVectorLayout:
         with pytest.raises(ValueError):
             X.evaluate_many([(1.0, 2.0, 3.0)])
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_linear_places_each_axis_on_its_variable(self, dim):
+        gradient = [complex(axis + 1, -axis) for axis in range(dim)]
+        expected = GradedPoly(dim, {
+            tuple(int(i == axis) for i in range(dim)): g for axis, g in enumerate(gradient)
+        })
+        p = GradedPoly.linear(dim, gradient)
+        assert p.cap == 1
+        assert p.vec.tobytes() == expected.vec.tobytes()
+        with pytest.raises(ValueError):
+            GradedPoly.linear(dim, gradient + [1.0])
+
 
 # -- stacks: every kernel on a stack equals the one-row kernel, row by row --
 
@@ -506,6 +518,8 @@ def test_stack_accessors_answer_for_the_whole_stack(data, dim):
     assert a.degree == max(p.degree for p in polys)
     assert bool(a) == any(polys)
     assert a.max_abs() == max(p.max_abs() for p in polys)
+    assert a.row_max_abs().tolist() == [p.max_abs() for p in polys]
+    assert all(p.row_max_abs().shape == () for p in polys)
     assert set(a.coeffs) == set().union(*(p.coeffs for p in polys))
     for index, values in a.coeffs.items():
         assert values == tuple(p.coeffs.get(index, 0j) for p in polys)
