@@ -162,8 +162,8 @@ def build_family(
     zero.  The linear phases are stacked and solved for in one layered
     construction; every row is the phase its direction gets when built
     alone, bit for bit.  The residual certificates are recomputed after the
-    construction; the first direction whose residual exceeds ``tol`` aborts
-    with a diagnostic.
+    construction; the first direction whose residual exceeds ``tol``, or is
+    NaN, aborts with a diagnostic.
     """
     directions = [_check_unit(d) for d in direction_set]
     if any(len(d) != split.dim for d in directions):
@@ -182,7 +182,7 @@ def build_family(
     phases = preimage(split, split.rhs, params)
     residuals = _certificates(split, phases).tolist()
     for direction, residual in zip(directions, residuals):
-        if residual > tol:
+        if not residual <= tol:
             raise CertificateError(
                 f"{split.label} phase for direction {direction} has residual "
                 f"{residual:.3e} > {tol:.1e}"

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import reprlib
 import sys
 from dataclasses import dataclass, replace
@@ -246,17 +247,28 @@ def cmd_verify(config: RunConfig, out: Path, quiet: bool) -> int:
                 f"x0={config.center}, {label!r}"
             )
     hypotheses = verify_split(problem.split, trials=50, seed=config.seed)
-    functions = []
-    for index, phi in enumerate(family):
-        residual = basis.certificate_norm(problem.split, phi.phase)
-        functions.append(
-            {
-                "index": index,
-                "direction": basis._direction_payload(phi.direction),
-                "residual": residual,
-                "passed": residual <= RESIDUAL_TOL,
-            }
+    residuals = (
+        basis._certificates(problem.split, GradedPoly.stack([phi.phase for phi in family])).tolist()
+        if family else []
+    )
+    not_finite = [c.check for c in hypotheses.checks if not math.isfinite(c.max_violation)]
+    not_finite += [f"function {i}" for i, r in enumerate(residuals) if not math.isfinite(r)]
+    if not_finite:
+        print(
+            f"error: {label} verify has {len(not_finite)} non-finite values, "
+            f"first in {not_finite[0]}",
+            file=sys.stderr,
         )
+        return 1
+    functions = [
+        {
+            "index": index,
+            "direction": basis._direction_payload(phi.direction),
+            "residual": residual,
+            "passed": residual <= RESIDUAL_TOL,
+        }
+        for index, (phi, residual) in enumerate(zip(family, residuals))
+    ]
     passed = hypotheses.passed and all(f["passed"] for f in functions)
     report = {
         "hypotheses": hypotheses.to_dict(),

@@ -258,8 +258,43 @@ def _uniform_complex(rng: np.random.Generator, count: int) -> np.ndarray:
     return parts[:, 0] + 1j * parts[:, 1]
 
 
-def _rel(deviation: float, scale: float) -> float:
-    return deviation / max(scale, 1.0)
+def _rel(deviation: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Per-row deviation relative to max(scale, 1)."""
+    return deviation / np.maximum(scale, 1.0)
+
+
+def _draw_trial(rng: np.random.Generator, split: OperatorSplit) -> tuple:
+    """One trial's random inputs, in stream order; per-layer inputs come as tuples.
+
+    ``tail`` holds the top-layer input and the nilpotency input, or nothing
+    when the split has no layers.
+    """
+    dim, order, layers, top = split.dim, split.order, split.layer_count, split.source_degree
+    p = random_poly(rng, dim, top)
+    q = random_poly(rng, dim, top)
+    alpha = complex(*rng.uniform(-1.0, 1.0, 2))
+    h, b = [], []
+    for n in range(layers):
+        h.append(random_homogeneous(rng, dim, n + order).as_graded())
+        b.append(random_homogeneous(rng, dim, n).as_graded())
+    low = random_poly(rng, dim, order - 1)
+    shift = tuple(random_poly(rng, dim, top, min_degree=n + order) for n in range(layers - 1))
+    tail = () if layers == 0 else (
+        random_homogeneous(rng, dim, top).as_graded(),
+        random_poly(rng, dim, split.last_layer),
+    )
+    base = random_poly(rng, dim, order - 1)
+    pieces = tuple(random_homogeneous(rng, dim, n + order).as_graded() for n in range(layers))
+    return p, q, alpha, tuple(h), tuple(b), low, shift, tail, base, pieces
+
+
+def _stacked(column: Sequence):
+    """The trials' values of one input as a stack; tuples of inputs stack entry by entry."""
+    if isinstance(column[0], GradedPoly):
+        return GradedPoly.stack(column)
+    if isinstance(column[0], tuple):
+        return tuple(_stacked(entry) for entry in zip(*column))
+    return np.array(column)
 
 
 def verify_split(
@@ -275,111 +310,96 @@ def verify_split(
     right-inverse identity of the layer solvers, annihilation of the
     low-degree pass-through block, the layer shift and top-layer
     annihilation of the remainder, nilpotency of remainder-after-solvers,
-    and prefix locality of the remainder's layer projections.  Failures
-    are recorded in the report, never raised.
+    and prefix locality of the remainder's layer projections.  The inputs
+    of every trial are drawn first, trial by trial, then stacked: each
+    check runs once (once per layer) on the stack of all trials, and each
+    row gives the violation its trial would give alone, bit for bit.  The
+    worst row of each check is reported; a NaN violation fails the check.
+    Failures are recorded in the report, never raised.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = np.random.default_rng(seed)
-    s = split.last_layer
-    top = split.source_degree
-    violations = {
-        "principal_linear": 0.0,
-        "principal_layer_map": 0.0,
-        "principal_right_inverse": 0.0,
-        "principal_kills_low_degree": 0.0,
-        "remainder_degree_shift": 0.0,
-        "remainder_top_zero": 0.0,
-        "remainder_nilpotent": 0.0,
-        "remainder_prefix_local": 0.0,
-    }
+    p, q, alpha, h, b, low, shift, tail, base, pieces = (
+        _stacked(column) for column in zip(*(_draw_trial(rng, split) for _ in range(trials)))
+    )
+    violations = dict.fromkeys(
+        (
+            "principal_linear",
+            "principal_layer_map",
+            "principal_right_inverse",
+            "principal_kills_low_degree",
+            "remainder_degree_shift",
+            "remainder_top_zero",
+            "remainder_nilpotent",
+            "remainder_prefix_local",
+        ),
+        0.0,
+    )
 
-    for _ in range(trials):
-        # linearity of the principal part
-        p = random_poly(rng, split.dim, top)
-        q = random_poly(rng, split.dim, top)
-        alpha = complex(*rng.uniform(-1.0, 1.0, 2))
-        lhs = split.principal(p + q.scaled(alpha))
-        rhs = split.principal(p) + split.principal(q).scaled(alpha)
-        violations["principal_linear"] = max(
-            violations["principal_linear"],
-            _rel((lhs - rhs).max_abs(), max(lhs.max_abs(), rhs.max_abs())),
+    def record(check: str, rows: np.ndarray) -> None:
+        violations[check] = np.max(rows, initial=violations[check])
+
+    # linearity of the principal part
+    lhs = split.principal(p + q.scaled(alpha))
+    rhs = split.principal(p) + split.principal(q).scaled(alpha)
+    record(
+        "principal_linear",
+        _rel((lhs - rhs).row_max_abs(), np.maximum(lhs.row_max_abs(), rhs.row_max_abs())),
+    )
+
+    # layer action, right-inverse identity
+    for n in range(split.layer_count):
+        image = split.principal(h[n])
+        off_layer = image - image.layer(n).as_graded()
+        record("principal_layer_map", _rel(off_layer.row_max_abs(), image.row_max_abs()))
+        target = b[n].layer(n)
+        back = split.principal(split.solve_layer(n, target).as_graded()).layer(n)
+        record(
+            "principal_right_inverse",
+            _rel((back - target).row_max_abs(), target.row_max_abs()),
         )
 
-        # layer action, right-inverse identity
-        for n in range(split.layer_count):
-            h = random_homogeneous(rng, split.dim, n + split.order)
-            image = split.principal(h.as_graded())
-            off_layer = image - image.layer(n).as_graded()
-            violations["principal_layer_map"] = max(
-                violations["principal_layer_map"],
-                _rel(off_layer.max_abs(), image.max_abs()),
-            )
-            b = random_homogeneous(rng, split.dim, n)
-            solved = split.solve_layer(n, b)
-            back = split.principal(solved.as_graded()).layer(n)
-            violations["principal_right_inverse"] = max(
-                violations["principal_right_inverse"],
-                _rel((back - b).max_abs(), b.max_abs()),
-            )
+    # annihilation of the pass-through block
+    record(
+        "principal_kills_low_degree",
+        _rel(split.principal(low).row_max_abs(), low.row_max_abs()),
+    )
 
-        # annihilation of the pass-through block
-        low = random_poly(rng, split.dim, split.order - 1)
-        violations["principal_kills_low_degree"] = max(
-            violations["principal_kills_low_degree"],
-            _rel(split.principal(low).max_abs(), low.max_abs()),
+    # remainder layer shift: input on source layers >= n maps to image layers > n
+    for n, poly in enumerate(shift):
+        image = split.remainder(poly)
+        scale = np.maximum(image.row_max_abs(), poly.row_max_abs())
+        record("remainder_degree_shift", _rel(image.truncate(n).row_max_abs(), scale))
+    if tail:
+        top_input, y = tail
+        record(
+            "remainder_top_zero",
+            _rel(split.remainder(top_input).row_max_abs(), top_input.row_max_abs()),
         )
-
-        # remainder layer shift: input on source layers >= n maps to image layers > n
-        for n in range(split.layer_count - 1):
-            poly = random_poly(rng, split.dim, top, min_degree=n + split.order)
-            image = split.remainder(poly)
-            low_part = image.truncate(n)
-            violations["remainder_degree_shift"] = max(
-                violations["remainder_degree_shift"],
-                _rel(low_part.max_abs(), max(image.max_abs(), poly.max_abs())),
-            )
-        if split.layer_count > 0:
-            top_input = random_homogeneous(rng, split.dim, top).as_graded()
-            violations["remainder_top_zero"] = max(
-                violations["remainder_top_zero"],
-                _rel(split.remainder(top_input).max_abs(), top_input.max_abs()),
-            )
 
         # nilpotency of remainder-after-solvers, on unit-normalized input
-        if split.layer_count > 0:
-            y = random_poly(rng, split.dim, s)
-            scale = y.max_abs()
-            if scale > 0:
-                y = y.scaled(1.0 / scale)
-            for _ in range(split.layer_count):
-                y = split.remainder(split.solve_all(y.truncate(s)))
-            violations["remainder_nilpotent"] = max(
-                violations["remainder_nilpotent"], y.max_abs()
-            )
+        scale = y.row_max_abs()
+        y = y.scaled(np.divide(1.0, scale, out=np.ones_like(scale), where=scale > 0))
+        for _ in range(split.layer_count):
+            y = split.remainder(split.solve_all(y.truncate(split.last_layer)))
+        record("remainder_nilpotent", y.row_max_abs())
 
-        # prefix locality of the remainder's layer projections
-        base = random_poly(rng, split.dim, split.order - 1)
-        pieces = [
-            random_homogeneous(rng, split.dim, n + split.order).as_graded()
-            for n in range(split.layer_count)
-        ]
-        full = base
-        for piece in pieces:
-            full = full + piece
-        image_full = split.remainder(full)
-        prefix = base
-        for n in range(split.layer_count):
-            image_prefix = split.remainder(prefix)
-            gap = image_full.layer(n) - image_prefix.layer(n)
-            violations["remainder_prefix_local"] = max(
-                violations["remainder_prefix_local"],
-                _rel(gap.max_abs(), max(image_full.max_abs(), full.max_abs())),
-            )
-            prefix = prefix + pieces[n]
+    # prefix locality of the remainder's layer projections
+    full = base
+    for piece in pieces:
+        full = full + piece
+    image_full = split.remainder(full)
+    scale = np.maximum(image_full.row_max_abs(), full.row_max_abs())
+    prefix = base
+    for n, piece in enumerate(pieces):
+        gap = image_full.layer(n) - split.remainder(prefix).layer(n)
+        record("remainder_prefix_local", _rel(gap.row_max_abs(), scale))
+        prefix = prefix + piece
 
     checks = []
     for name, worst in violations.items():
+        worst = float(worst)
         tol = nilpotency_tolerance if name == "remainder_nilpotent" else tolerance
         checks.append(SplitCheck(name, trials, worst, tol, worst <= tol))
     return SplitReport(split.label, seed, trials, tuple(checks))

@@ -13,13 +13,14 @@ holds ``n`` polynomials of one ``dim`` and ``cap`` (a stack), built with
 :meth:`GradedPoly.stack` and split again with :meth:`GradedPoly.rows`.
 The ring and grading kernels act along the last axis, so products (stack
 by stack or one polynomial by a stack), derivatives, truncation, layers,
-scaling, ``+``, ``-`` and shifts treat each row as the one-row kernel
-would, bit for bit: no sum ever mixes rows, and each row's sums run in the
-same order as for a single polynomial.  The accessors ``coeffs``,
-``degree``, ``max_abs`` and ``bool`` answer for the stack as a whole: the
-monomials non-zero in any row (each mapped to the tuple of its row
-values), the highest row degree, the largest magnitude and whether any row
-is non-zero; ``row_max_abs`` gives the largest magnitude of each row.
+scaling (by one factor, or by one factor per row), ``+``, ``-`` and shifts
+treat each row as the one-row kernel would, bit for bit: no sum ever mixes
+rows, and each row's sums run in the same order as for a single
+polynomial.  The accessors ``coeffs``, ``degree``, ``max_abs`` and
+``bool`` answer for the stack as a whole: the monomials non-zero in any
+row (each mapped to the tuple of its row values), the highest row degree,
+the largest magnitude and whether any row is non-zero; ``row_max_abs``
+gives the largest magnitude of each row.
 Evaluation and records are for single polynomials; a stack never equals a
 single polynomial.
 
@@ -257,6 +258,16 @@ def _times(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return left * right
 
 
+def _scale(vec: np.ndarray, factor: "Scalar | np.ndarray") -> np.ndarray:
+    """``vec`` times a scalar, or each row of a stack times its entry of an ``(n,)`` array."""
+    if getattr(factor, "ndim", 0) == 0:
+        return vec * complex(factor)
+    factor = np.asarray(factor, dtype=complex)
+    if factor.shape != vec.shape[:-1]:
+        raise ValueError(f"need one factor per row: {factor.shape} for {vec.shape[:-1]}")
+    return vec * factor[:, None]
+
+
 def _zeros(vec: np.ndarray, size: int = 0) -> np.ndarray:
     """Zero coefficients, ``size`` per row, with the stack axis of ``vec``."""
     return np.zeros(vec.shape[:-1] + (size,), dtype=complex)
@@ -423,8 +434,8 @@ class HomogeneousPoly(_Poly):
         self._check_layer(other)
         return _homogeneous(self.dim, self.degree, self.vec - other.vec)
 
-    def scaled(self, factor: Scalar) -> "HomogeneousPoly":
-        return _homogeneous(self.dim, self.degree, self.vec * complex(factor))
+    def scaled(self, factor: "Scalar | np.ndarray") -> "HomogeneousPoly":
+        return _homogeneous(self.dim, self.degree, _scale(self.vec, factor))
 
     def as_graded(self) -> "GradedPoly":
         vec = _zeros(self.vec, size=space_dimension(self.dim, self.degree))
@@ -561,8 +572,9 @@ class GradedPoly(_Poly):
         size = space_dimension(self.dim, cap)
         return _graded(self.dim, cap, _padded(self.vec, size) - _padded(other.vec, size))
 
-    def scaled(self, factor: Scalar) -> "GradedPoly":
-        return _graded(self.dim, self.cap, self.vec * complex(factor))
+    def scaled(self, factor: "Scalar | np.ndarray") -> "GradedPoly":
+        """Times a scalar; an ``(n,)`` array scales row i of an n-row stack by its entry i."""
+        return _graded(self.dim, self.cap, _scale(self.vec, factor))
 
     def __mul__(self, other: "GradedPoly | Scalar") -> "GradedPoly":
         if isinstance(other, GradedPoly):

@@ -1,6 +1,7 @@
 import cmath
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -267,6 +268,14 @@ class TestStackedFamily:
             ordered = dirs[first:] + dirs[:first]
             with pytest.raises(CertificateError, match=re.escape(f"direction {ordered[0]} ")):
                 build_family(corrupted(constant_split(degree=4)), ordered)
+
+    def test_nan_certificate_aborts_at_first_direction(self):
+        split = make_helmholtz_split(GradedPoly.constant(2, 16.0), 4)
+        nan_split = replace(split, remainder=lambda poly: split.remainder(poly).scaled(math.nan))
+        dirs = unit_circle_directions(5)
+        message = re.escape(f"direction {dirs[0]} has residual nan")
+        with pytest.raises(CertificateError, match=message):
+            build_family(nan_split, dirs)
 
     def test_tolerance_failure_names_first_failure_in_input_order(self):
         split = variable_helmholtz_split(2)

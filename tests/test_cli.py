@@ -268,6 +268,22 @@ class TestCertificateFailure:
         assert err.startswith("error: ") and "residual" in err and err.count("\n") == 1
 
 
+    def test_nan_verify_exits_1_without_traceback(self, tmp_path, capsys, monkeypatch):
+        def nan_problem(config):
+            problem = build_problem(config)
+            split = problem.split
+            nan = replace(split, remainder=lambda poly: split.remainder(poly).scaled(math.nan))
+            return replace(problem, split=nan)
+
+        config = write_config(tmp_path / "c.json", degree=4)
+        assert main(["build", "--config", str(config), "--out", str(tmp_path), "--quiet"]) == 0
+        monkeypatch.setattr(gpwlab.cli, "build_problem", nan_problem)
+        assert main(["verify", "--config", str(config), "--out", str(tmp_path), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "non-finite" in err and err.count("\n") == 1
+        assert not (tmp_path / "report.json").exists()
+
+
 class TestRank:
     def test_plane_wave_rank_five(self, tmp_path):
         config = write_config(tmp_path / "c.json", degree=2, directions=10)

@@ -1,9 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from gpwlab.frame import (
     FreeParameters,
+    SplitCheck,
     SplitContractError,
+    SplitReport,
     corrupted,
     preimage,
     random_homogeneous,
@@ -12,7 +16,7 @@ from gpwlab.frame import (
     verify_split,
 )
 from gpwlab.layers import PrincipalPart2, kernel_dimension
-from gpwlab.operators import make_helmholtz_split
+from gpwlab.operators import CoefficientJet, make_convected_split, make_helmholtz_split
 from gpwlab.polycore import GradedPoly, HomogeneousPoly
 
 
@@ -165,6 +169,134 @@ class TestFreeParameterInjectivity:
         assert (xa - xb).max_abs() > 1e-6
 
 
+def verify_split_reference(split, trials=50, seed=0, tolerance=1e-12, nilpotency_tolerance=1e-13):
+    """verify_split as a loop over trials, one polynomial at a time: the stacked one's oracle."""
+    rng = np.random.default_rng(seed)
+    s = split.last_layer
+    top = split.source_degree
+    violations = {
+        "principal_linear": 0.0,
+        "principal_layer_map": 0.0,
+        "principal_right_inverse": 0.0,
+        "principal_kills_low_degree": 0.0,
+        "remainder_degree_shift": 0.0,
+        "remainder_top_zero": 0.0,
+        "remainder_nilpotent": 0.0,
+        "remainder_prefix_local": 0.0,
+    }
+
+    def rel(deviation, scale):
+        return deviation / max(scale, 1.0)
+
+    for _ in range(trials):
+        p = random_poly(rng, split.dim, top)
+        q = random_poly(rng, split.dim, top)
+        alpha = complex(*rng.uniform(-1.0, 1.0, 2))
+        lhs = split.principal(p + q.scaled(alpha))
+        rhs = split.principal(p) + split.principal(q).scaled(alpha)
+        violations["principal_linear"] = max(
+            violations["principal_linear"],
+            rel((lhs - rhs).max_abs(), max(lhs.max_abs(), rhs.max_abs())),
+        )
+        for n in range(split.layer_count):
+            h = random_homogeneous(rng, split.dim, n + split.order)
+            image = split.principal(h.as_graded())
+            off_layer = image - image.layer(n).as_graded()
+            violations["principal_layer_map"] = max(
+                violations["principal_layer_map"], rel(off_layer.max_abs(), image.max_abs())
+            )
+            b = random_homogeneous(rng, split.dim, n)
+            back = split.principal(split.solve_layer(n, b).as_graded()).layer(n)
+            violations["principal_right_inverse"] = max(
+                violations["principal_right_inverse"], rel((back - b).max_abs(), b.max_abs())
+            )
+        low = random_poly(rng, split.dim, split.order - 1)
+        violations["principal_kills_low_degree"] = max(
+            violations["principal_kills_low_degree"],
+            rel(split.principal(low).max_abs(), low.max_abs()),
+        )
+        for n in range(split.layer_count - 1):
+            poly = random_poly(rng, split.dim, top, min_degree=n + split.order)
+            image = split.remainder(poly)
+            violations["remainder_degree_shift"] = max(
+                violations["remainder_degree_shift"],
+                rel(image.truncate(n).max_abs(), max(image.max_abs(), poly.max_abs())),
+            )
+        if split.layer_count > 0:
+            top_input = random_homogeneous(rng, split.dim, top).as_graded()
+            violations["remainder_top_zero"] = max(
+                violations["remainder_top_zero"],
+                rel(split.remainder(top_input).max_abs(), top_input.max_abs()),
+            )
+            y = random_poly(rng, split.dim, s)
+            scale = y.max_abs()
+            if scale > 0:
+                y = y.scaled(1.0 / scale)
+            for _ in range(split.layer_count):
+                y = split.remainder(split.solve_all(y.truncate(s)))
+            violations["remainder_nilpotent"] = max(violations["remainder_nilpotent"], y.max_abs())
+        base = random_poly(rng, split.dim, split.order - 1)
+        pieces = [
+            random_homogeneous(rng, split.dim, n + split.order).as_graded()
+            for n in range(split.layer_count)
+        ]
+        full = base
+        for piece in pieces:
+            full = full + piece
+        image_full = split.remainder(full)
+        prefix = base
+        for n in range(split.layer_count):
+            gap = image_full.layer(n) - split.remainder(prefix).layer(n)
+            violations["remainder_prefix_local"] = max(
+                violations["remainder_prefix_local"],
+                rel(gap.max_abs(), max(image_full.max_abs(), full.max_abs())),
+            )
+            prefix = prefix + pieces[n]
+    checks = []
+    for name, worst in violations.items():
+        tol = nilpotency_tolerance if name == "remainder_nilpotent" else tolerance
+        checks.append(SplitCheck(name, trials, worst, tol, worst <= tol))
+    return SplitReport(split.label, seed, trials, tuple(checks))
+
+
+def variable_helmholtz(dim, degree, seed):
+    rng = np.random.default_rng(seed)
+    kappa_sq = random_poly(rng, dim, degree - 2).scaled(0.5) + GradedPoly.constant(dim, 9.0)
+    return make_helmholtz_split(kappa_sq, degree)
+
+
+def variable_convected(dim, degree, seed):
+    rng = np.random.default_rng(seed)
+    rho = random_poly(rng, dim, degree - 2).scaled(0.1) + GradedPoly.constant(dim, 1.0)
+    mach = [
+        CoefficientJet(random_poly(rng, dim, degree - 2).scaled(0.05) + GradedPoly.constant(dim, m))
+        for m in (0.3, -0.2, 0.1)[:dim]
+    ]
+    return make_convected_split(CoefficientJet(rho), mach, 3.0 + 0.4j, degree)
+
+
+def nan_remainder(split):
+    """Split whose remainder returns all-NaN polynomials of the right shape."""
+    return replace(split, remainder=lambda poly: split.remainder(poly).scaled(float("nan")))
+
+
+class TestStackedVerifyMatchesReference:
+    SPLITS = {
+        "helmholtz-2d": lambda: variable_helmholtz(2, 6, 11),
+        "helmholtz-3d": lambda: variable_helmholtz(3, 5, 12),
+        "convected-3d": lambda: variable_convected(3, 5, 13),
+        "corrupted": lambda: corrupted(variable_convected(3, 4, 14)),
+        "no-layers": lambda: make_helmholtz_split(GradedPoly.constant(2, 4.0), 1),
+    }
+
+    @pytest.mark.parametrize("trials", [1, 7, 50])
+    @pytest.mark.parametrize("name", sorted(SPLITS))
+    def test_report_equals_per_trial_loop(self, name, trials):
+        split = self.SPLITS[name]()
+        got = verify_split(split, trials=trials, seed=2024).to_dict()
+        assert got == verify_split_reference(split, trials=trials, seed=2024).to_dict()
+
+
 class TestVerifySplit:
     def test_helmholtz_passes(self):
         rng = np.random.default_rng(77)
@@ -197,6 +329,15 @@ class TestVerifySplit:
         split = make_helmholtz_split(GradedPoly.constant(2, 4.0), 1)
         assert split.layer_count == 0
         assert verify_split(split, trials=3, seed=0).passed
+
+    def test_nan_remainder_fails_the_remainder_checks(self):
+        report = verify_split(nan_remainder(variable_helmholtz(2, 4, 3)), trials=5, seed=1)
+        by_name = {c.check: c for c in report.checks}
+        assert not report.passed
+        for name, check in by_name.items():
+            assert check.passed == name.startswith("principal_"), name
+            if name.startswith("remainder_"):
+                assert np.isnan(check.max_violation)
 
     def test_trials_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -504,6 +504,26 @@ def test_stack_grading_and_scaling_match_rows(data, dim, bound, factor):
         assert_rows_equal(layer - layer, [x.layer(bound) - x.layer(bound) for x in a.rows()])
 
 
+@given(st.data(), dims, st.booleans())
+def test_stack_scaling_by_row_factors_matches_rows(data, dim, constants):
+    if constants:  # one-element rows (cap 0)
+        count = data.draw(st.integers(1, 4))
+        a = GradedPoly.stack([
+            GradedPoly.constant(dim, data.draw(finite_coeffs)) for _ in range(count)
+        ])
+    else:
+        a = data.draw(stacks(dim))
+    rows = a.rows()
+    factors = data.draw(st.lists(finite_coeffs, min_size=len(rows), max_size=len(rows)))
+    assert_rows_equal(a.scaled(np.array(factors)), [x.scaled(f) for x, f in zip(rows, factors)])
+    reals = np.array([f.real for f in factors])
+    assert_rows_equal(a.scaled(reals), [x.scaled(f) for x, f in zip(rows, reals.tolist())])
+    top = max(a.cap, 0)
+    assert_rows_equal(a.layer(top).scaled(np.array(factors)), [
+        x.layer(top).scaled(f) for x, f in zip(rows, factors)
+    ])
+
+
 @given(st.data(), dims)
 def test_stack_shift_matches_rows(data, dim):
     a = data.draw(stacks(dim))
@@ -557,6 +577,17 @@ class TestStackShape:
             assert got.vec[0].tobytes() == want.vec.tobytes()
         offset = (0.5 - 0.25j,)
         assert stack.shifted(offset).vec[0].tobytes() == row.shifted(offset).vec.tobytes()
+
+    def test_one_term_stack_scaled_by_row_factors(self):
+        row = GradedPoly.constant(1, 1.238339800464216 + 1j)
+        got = GradedPoly.stack([row]).scaled(np.array([1.25 + 1j]))
+        assert got.vec[0].tobytes() == row.scaled(1.25 + 1j).vec.tobytes()
+
+    def test_row_factors_must_match_the_rows(self):
+        with pytest.raises(ValueError):
+            GradedPoly.stack([X, Y]).scaled(np.ones(3))
+        with pytest.raises(ValueError):
+            X.scaled(np.ones(2))
 
     def test_stack_differs_from_single(self):
         assert GradedPoly.stack([X]) != X
