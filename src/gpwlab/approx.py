@@ -23,36 +23,44 @@ from .polycore import GradedPoly, space_dimension
 # -- Taylor truncations and ranks -----------------------------------------
 
 
-def taylor_truncation(phi: GpwFunction, bound: int | None = None) -> GradedPoly:
+def taylor_truncation(
+    functions: GpwFunction | Sequence[GpwFunction], bound: int | None = None
+) -> GradedPoly:
     """Degree-bound Taylor polynomial of exp(phase) at the center.
 
+    A sequence of functions gives one stack row per function, the bound
+    defaulting to their largest degree; the series runs once on the stack
+    of phases, and each row is the polynomial its function gets alone.  A
+    single function is a stack of one and gives a single polynomial.
     Exact: with the constant term factored out, the phase has positive
     valuation, so powers beyond the bound cannot contribute below it.
     """
+    family = [functions] if isinstance(functions, GpwFunction) else list(functions)
     if bound is None:
-        bound = phi.degree
-    phase = phi.phase
-    constant = phase.coeffs.get((0,) * phase.dim, 0j)
-    reduced = phase - GradedPoly.constant(phase.dim, constant)
-    term = GradedPoly.constant(phase.dim, 1.0)
+        bound = max(phi.degree for phi in family)
+    phases = GradedPoly.stack([phi.phase for phi in family])
+    dim, rows = phases.dim, len(family)
+    constants = phases.vec[:, 0] if phases.cap >= 0 else np.zeros(rows, dtype=complex)
+    constants = np.where(constants == 0, 0j, constants)  # a signed zero is no constant term
+    reduced = phases - GradedPoly.from_vector(dim, constants[:, None])
+    term = GradedPoly.from_vector(dim, np.ones((rows, 1)))
     total = term
     for m in range(1, bound + 1):
         term = term.mul_truncated(reduced, bound).scaled(1.0 / m)
         total = total + term
-    return total.scaled(cmath.exp(constant))
+    total = total.scaled(np.array([cmath.exp(c) for c in constants.tolist()]))
+    return total.rows()[0] if isinstance(functions, GpwFunction) else total
 
 
 def taylor_matrix(family: Sequence[GpwFunction], bound: int | None = None) -> np.ndarray:
     """Rows: family members; columns: graded-lex monomial coefficients of T_bound."""
     if not family:
         raise ValueError("family is empty")
-    dim = family[0].phase.dim
     if bound is None:
         bound = max(phi.degree for phi in family)
-    matrix = np.zeros((len(family), space_dimension(dim, bound)), dtype=complex)
-    for row, phi in enumerate(family):
-        coefficients = taylor_truncation(phi, bound).vec
-        matrix[row, : len(coefficients)] = coefficients
+    coefficients = taylor_truncation(family, bound).vec
+    matrix = np.zeros((len(family), space_dimension(family[0].phase.dim, bound)), dtype=complex)
+    matrix[:, : coefficients.shape[-1]] = coefficients
     return matrix
 
 
@@ -149,29 +157,21 @@ def manufactured_helmholtz(
 
 def ring_points(
     center: Sequence[float], radius: float, count: int, offset: float = 0.0
-) -> list[tuple[float, ...]]:
-    cx, cy = center
-    return [
-        (
-            cx + radius * math.cos(2.0 * math.pi * (i + offset) / count),
-            cy + radius * math.sin(2.0 * math.pi * (i + offset) / count),
-        )
-        for i in range(count)
-    ]
+) -> np.ndarray:
+    """(count, 2) array of equispaced points on a circle, the first at angle offset."""
+    angles = [2.0 * math.pi * (i + offset) / count for i in range(count)]
+    unit = np.array([(math.cos(a), math.sin(a)) for a in angles]).reshape(count, 2)
+    return np.asarray(center, dtype=float) + radius * unit
 
 
-def shell_points(
-    center: Sequence[float], radius: float, count: int
-) -> list[tuple[float, ...]]:
-    return [
-        tuple(c + radius * d for c, d in zip(center, direction))
-        for direction in unit_sphere_directions(count)
-    ]
+def shell_points(center: Sequence[float], radius: float, count: int) -> np.ndarray:
+    """(count, 3) array of quasi-uniform points on a sphere."""
+    return np.asarray(center, dtype=float) + radius * np.array(unit_sphere_directions(count))
 
 
 def sphere_points(
     dim: int, center: Sequence[float], radius: float, count: int, offset: float = 0.0
-) -> list[tuple[float, ...]]:
+) -> np.ndarray:
     if dim == 2:
         return ring_points(center, radius, count, offset)
     if dim == 3:
@@ -181,25 +181,25 @@ def sphere_points(
 
 def fit_points(
     dim: int, center: Sequence[float], radius: float, family_size: int
-) -> list[tuple[float, ...]]:
+) -> np.ndarray:
     """Surface samples (4x the family size) plus two interior shells and the center."""
-    surface = 4 * family_size
-    pts = sphere_points(dim, center, radius, surface)
-    pts += sphere_points(dim, center, 2.0 * radius / 3.0, 2 * family_size, offset=0.5)
-    pts += sphere_points(dim, center, radius / 3.0, family_size, offset=0.25)
-    pts.append(tuple(float(c) for c in center))
-    return pts
+    return np.concatenate([
+        sphere_points(dim, center, radius, 4 * family_size),
+        sphere_points(dim, center, 2.0 * radius / 3.0, 2 * family_size, offset=0.5),
+        sphere_points(dim, center, radius / 3.0, family_size, offset=0.25),
+        np.array([center], dtype=float),
+    ])
 
 
 def ball_points(
     dim: int, center: Sequence[float], radius: float, family_size: int, shells: int = 10
-) -> list[tuple[float, ...]]:
+) -> np.ndarray:
     """Dense closed-ball sample, roughly ten times the fit grid."""
     per_shell = 7 * family_size + 3
-    pts: list[tuple[float, ...]] = [tuple(float(c) for c in center)]
-    for j in range(1, shells + 1):
-        pts += sphere_points(dim, center, radius * j / shells, per_shell, offset=0.37)
-    return pts
+    return np.concatenate([np.array([center], dtype=float)] + [
+        sphere_points(dim, center, radius * j / shells, per_shell, offset=0.37)
+        for j in range(1, shells + 1)
+    ])
 
 
 # -- least-squares fits ------------------------------------------------------
@@ -215,9 +215,18 @@ def _sample(
     return np.array([field(x) for x in points], dtype=complex)
 
 
-def _family_matrix(family: Sequence[GpwFunction], points: Sequence[Sequence[float]]) -> np.ndarray:
-    """Rows: points; columns: family members."""
-    return np.column_stack([phi.values(points) for phi in family])
+def _family_matrix(family: Sequence[GpwFunction], points: np.ndarray) -> np.ndarray:
+    """Rows: points; columns: family members, from one Vandermonde matrix.
+
+    Each column has the bits of ``phi.values(points)`` when the phases share
+    a degree cap, as the rows of a built family do; a lower cap is padded
+    with zeros, whose longer sums may round differently.
+    """
+    center = family[0].center
+    if any(phi.center != center for phi in family):
+        raise ValueError("family members must share one center")
+    phases = GradedPoly.stack([phi.phase for phi in family])
+    return np.exp(phases.evaluate_many(np.asarray(points, dtype=float) - center))
 
 
 @dataclass(frozen=True)

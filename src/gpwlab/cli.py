@@ -70,12 +70,12 @@ class RunConfig:
         if raw.get("schema") != SCHEMA:
             raise ConfigError(f"config schema must be {SCHEMA!r}")
         try:
-            dim = int(raw["dimension"])
-            degree = int(raw["degree"])
+            dim = _integer(raw["dimension"], "dimension")
+            degree = _integer(raw["degree"], "degree")
             center = tuple(float(c) for c in raw["center"])
-            count = int(raw.get("directions", 1))
+            count = _integer(raw.get("directions", 1), "directions")
             radii = tuple(float(h) for h in raw.get("h_values", ()))
-            seed = int(raw.get("seed", 0))
+            seed = _integer(raw.get("seed", 0), "seed")
             operator = dict(raw["operator"])
         except (KeyError, TypeError, ValueError) as err:
             raise ConfigError(f"bad config field: {err}") from err
@@ -94,6 +94,13 @@ class RunConfig:
         if seed < 0 or seed >= 2**64:
             raise ConfigError("seed must fit in 64 bits")
         return cls(dim, degree, center, count, radii, seed, operator)
+
+
+def _integer(value, name: str) -> int:
+    """An integer config field: an int, or a float with an integral value; never a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value != int(value):
+        raise ConfigError(f"{name} must be an integer, got {reprlib.repr(value)}")
+    return int(value)
 
 
 def _require_finite(value, where: str) -> None:
@@ -239,6 +246,11 @@ def cmd_verify(config: RunConfig, out: Path, quiet: bool) -> int:
     except (json.JSONDecodeError, KeyError, TypeError, ValueError, RecursionError) as err:
         raise ConfigError(f"unreadable basis file {basis_path}: {err}") from err
     label = problem.split.label
+    if len(family) != config.direction_count:
+        raise ConfigError(
+            f"basis file {basis_path} has {len(family)} functions; "
+            f"the config has {config.direction_count} directions"
+        )
     for index, phi in enumerate(family):
         if (phi.degree, phi.center, phi.operator or label) != (config.degree, config.center, label):
             raise ConfigError(
@@ -247,10 +259,9 @@ def cmd_verify(config: RunConfig, out: Path, quiet: bool) -> int:
                 f"x0={config.center}, {label!r}"
             )
     hypotheses = verify_split(problem.split, trials=50, seed=config.seed)
-    residuals = (
-        basis._certificates(problem.split, GradedPoly.stack([phi.phase for phi in family])).tolist()
-        if family else []
-    )
+    residuals = basis._certificates(
+        problem.split, GradedPoly.stack([phi.phase for phi in family])
+    ).tolist()
     not_finite = [c.check for c in hypotheses.checks if not math.isfinite(c.max_violation)]
     not_finite += [f"function {i}" for i, r in enumerate(residuals) if not math.isfinite(r)]
     if not_finite:

@@ -21,8 +21,8 @@ polynomial.  The accessors ``coeffs``, ``degree``, ``max_abs`` and
 row (each mapped to the tuple of its row values), the highest row degree,
 the largest magnitude and whether any row is non-zero; ``row_max_abs``
 gives the largest magnitude of each row.
-Evaluation and records are for single polynomials; a stack never equals a
-single polynomial.
+Evaluation of a stack gives one column per row; records are for single
+polynomials, and a stack never equals a single polynomial.
 
 The kernels are gathers over index tables that depend only on the
 dimension and the degrees involved.  Each table is built once, with numpy,
@@ -39,10 +39,11 @@ and cached:
 * per ``(dim, cap)``: the pairs and binomials of the re-expansion about a
   shifted origin.
 
-Evaluation is a Vandermonde matrix times the vector.  Sums over term pairs
-run in graded-lex pair order.  Every stored vector is read-only and every
-operation allocates a fresh value, so polynomials are safe to share across
-concurrent tasks.
+Evaluation is a Vandermonde matrix times the vector, one matrix-vector
+product per row of a stack (one matrix-matrix product would round
+differently).  Sums over term pairs run in graded-lex pair order.  Every
+stored vector is read-only and every operation allocates a fresh value, so
+polynomials are safe to share across concurrent tasks.
 """
 from __future__ import annotations
 
@@ -57,11 +58,6 @@ import numpy as np
 MultiIndex = tuple[int, ...]
 
 Scalar = complex | float | int
-
-
-def graded_lex_key(index: MultiIndex) -> tuple[int, MultiIndex]:
-    """Deterministic total order: by total degree, then exponent tuple."""
-    return (sum(index), index)
 
 
 def monomials_of_degree(dim: int, degree: int) -> list[MultiIndex]:
@@ -661,9 +657,18 @@ class GradedPoly(_Poly):
         return complex(self.evaluate_many([point])[0])
 
     def evaluate_many(self, points: Sequence[Sequence[Scalar]] | np.ndarray) -> np.ndarray:
-        """Values at the rows of an (n, dim) array of points, as a complex vector."""
-        points = _as_points(points, self.dim)
-        return _vandermonde(self.dim, self.cap, points) @ self.vec
+        """Values at the rows of an (n, dim) array of points, as a complex vector.
+
+        A stack of r rows gives an (n, r) array: the Vandermonde matrix is
+        built once, and column i is row i's one-polynomial result, bit for bit.
+        """
+        matrix = _vandermonde(self.dim, self.cap, _as_points(points, self.dim))
+        if self.vec.ndim == 1:
+            return matrix @ self.vec
+        out = np.empty((len(matrix), len(self.vec)), dtype=complex)
+        for i, row in enumerate(self.vec):
+            out[:, i] = matrix @ row
+        return out
 
     def shifted(self, offset: Sequence[Scalar]) -> "GradedPoly":
         """Re-expand around a shifted origin: returns Q with Q(X) = P(X + offset)."""

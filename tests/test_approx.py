@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from gpwlab.approx import (
     DecayReport,
+    _family_matrix,
     ball_points,
     convergence_study,
     family_fit_error,
@@ -28,8 +30,13 @@ from gpwlab.basis import (
     unit_sphere_directions,
 )
 from gpwlab.frame import random_poly
-from gpwlab.operators import CoefficientJet, make_helmholtz_split, omode_kappa_sq
-from gpwlab.polycore import GradedPoly, monomials_of_degree
+from gpwlab.operators import (
+    CoefficientJet,
+    make_convected_split,
+    make_helmholtz_split,
+    omode_kappa_sq,
+)
+from gpwlab.polycore import GradedPoly, monomials_of_degree, space_dimension
 
 RADII = (0.4, 0.2, 0.1, 0.05)
 
@@ -193,6 +200,109 @@ class TestManufactured:
             assert abs(value) <= 1e-12
 
 
+# -- stacked studies against the per-function loops they replace --------------
+
+
+def taylor_truncation_reference(phi, bound):
+    """The Taylor series of one function, one product loop per function."""
+    phase = phi.phase
+    constant = phase.coeffs.get((0,) * phase.dim, 0j)
+    reduced = phase - GradedPoly.constant(phase.dim, constant)
+    term = GradedPoly.constant(phase.dim, 1.0)
+    total = term
+    for m in range(1, bound + 1):
+        term = term.mul_truncated(reduced, bound).scaled(1.0 / m)
+        total = total + term
+    return total.scaled(cmath.exp(constant))
+
+
+def taylor_matrix_reference(family, bound):
+    matrix = np.zeros((len(family), space_dimension(family[0].phase.dim, bound)), dtype=complex)
+    for row, phi in enumerate(family):
+        coefficients = taylor_truncation_reference(phi, bound).vec
+        matrix[row, : len(coefficients)] = coefficients
+    return matrix
+
+
+def family_matrix_reference(family, points):
+    """One ``values`` call, and so one Vandermonde matrix, per function."""
+    points = [tuple(p) for p in points]
+    return np.column_stack([phi.values(points) for phi in family])
+
+
+def variable_split(kind, dim, degree=5):
+    rng = np.random.default_rng(80 + dim)
+    if kind == "helmholtz":
+        kappa_sq = random_poly(rng, dim, degree - 2) + GradedPoly.constant(dim, 9.0)
+        return make_helmholtz_split(kappa_sq, degree)
+    rho = GradedPoly.constant(dim, 1.2) + GradedPoly.variable(dim, 0).scaled(0.1)
+    mach = [
+        GradedPoly.constant(dim, m) + GradedPoly.variable(dim, dim - 1).scaled(0.03 * (k + 1))
+        for k, m in enumerate((0.3, -0.2, 0.1)[:dim])
+    ]
+    return make_convected_split(rho, mach, 3.0 + 0.5j, degree)
+
+
+def mixed_family(kind, dim, center):
+    """A built family of real directions and one evanescent direction."""
+    t = 0.4
+    evanescent = (math.cosh(t), 1j * math.sinh(t)) + (0.0,) * (dim - 2)
+    real = unit_circle_directions(6) if dim == 2 else unit_sphere_directions(6)
+    return build_family(variable_split(kind, dim), real[:3] + [evanescent] + real[3:], center)
+
+
+class TestStackedStudies:
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("kind", ["helmholtz", "convected"])
+    def test_taylor_matrix_equals_per_function_loop(self, kind, dim):
+        family = mixed_family(kind, dim, (0.2,) * dim)
+        for bound in (2, 5, 7):
+            got = taylor_matrix(family, bound)
+            assert got.tobytes() == taylor_matrix_reference(family, bound).tobytes()
+        plane = plane_wave_family(variable_split(kind, dim), [phi.direction for phi in family])
+        assert taylor_matrix(plane, 5).tobytes() == taylor_matrix_reference(plane, 5).tobytes()
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_taylor_matrix_with_constant_terms_and_mixed_caps(self, dim):
+        # phases with a constant term (one per-row factor each) and of different caps
+        rng = np.random.default_rng(90 + dim)
+        family = [
+            GpwFunction((0.0,) * dim, random_poly(rng, dim, cap), 4, (1.0,) + (0.0,) * (dim - 1),
+                        "random", 0.0)
+            for cap in (0, 3, 1, 4, 2, 4)
+        ]
+        for bound in (1, 4, 6):
+            got = taylor_matrix(family, bound)
+            assert got.tobytes() == taylor_matrix_reference(family, bound).tobytes()
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("kind", ["helmholtz", "convected"])
+    def test_single_truncation_is_a_stack_of_one(self, kind, dim):
+        phi = mixed_family(kind, dim, (0.0,) * dim)[3]
+        got = taylor_truncation(phi, 4)
+        want = taylor_truncation_reference(phi, 4)
+        assert got.vec.ndim == 1 and got.cap == want.cap
+        assert got.vec.tobytes() == want.vec.tobytes()
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("kind", ["helmholtz", "convected"])
+    def test_family_matrix_equals_per_function_columns(self, kind, dim):
+        center = (0.2,) * dim
+        family = mixed_family(kind, dim, center)
+        for points in (
+            fit_points(dim, center, 0.3, len(family)),
+            ball_points(dim, center, 0.05, len(family)),
+        ):
+            got = _family_matrix(family, points)
+            assert got.tobytes() == family_matrix_reference(family, points).tobytes()
+
+    def test_family_matrix_needs_one_center(self):
+        split = constant_split(degree=2)
+        family = [build_gpw(split, (1.0, 0.0)), build_gpw(split, (0.0, 1.0), center=(0.1, 0.0))]
+        with pytest.raises(ValueError):
+            _family_matrix(family, fit_points(2, (0.0, 0.0), 0.2, 2))
+
+
 class TestSampling:
     def test_fit_grid_size(self):
         pts = fit_points(2, (0.0, 0.0), 0.3, 5)
@@ -203,6 +313,34 @@ class TestSampling:
         fit = fit_points(2, (0.0, 0.0), 0.3, 5)
         dense = ball_points(2, (0.0, 0.0), 0.3, 5)
         assert len(dense) >= 9 * len(fit)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_grids_equal_the_point_lists_they_replace(self, dim):
+        center, radius, size = (0.5, -1.0, 2.0)[:dim], 0.3, 5
+
+        def sphere(r, count, offset):
+            if dim == 3:
+                return [
+                    tuple(c + r * d for c, d in zip(center, direction))
+                    for direction in unit_sphere_directions(count)
+                ]
+            return [
+                (
+                    center[0] + r * math.cos(2.0 * math.pi * (i + offset) / count),
+                    center[1] + r * math.sin(2.0 * math.pi * (i + offset) / count),
+                )
+                for i in range(count)
+            ]
+
+        fit = sphere(radius, 4 * size, 0.0) + sphere(2.0 * radius / 3.0, 2 * size, 0.5)
+        fit += sphere(radius / 3.0, size, 0.25) + [center]
+        dense = [center]
+        for j in range(1, 11):
+            dense += sphere(radius * j / 10, 7 * size + 3, 0.37)
+        for got, want in ((fit_points(dim, center, radius, size), fit),
+                          (ball_points(dim, center, radius, size), dense)):
+            assert got.shape == (len(want), dim)
+            assert got.tobytes() == np.array(want, dtype=float).tobytes()
 
 
 class TestFamilyFit:

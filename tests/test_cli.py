@@ -88,6 +88,25 @@ class TestConfig:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"dimension": 2.9}, {"degree": 6.7}, {"directions": True}, {"degree": True},
+         {"seed": 1.5}, {"seed": False}, {"directions": "7"}],
+        ids=["dimension-2.9", "degree-6.7", "directions-true", "degree-true",
+             "seed-1.5", "seed-false", "directions-string"],
+    )
+    def test_non_integer_counts_exit_2_with_one_line(self, tmp_path, capsys, overrides):
+        config = write_config(tmp_path / "c.json", **overrides)
+        assert main(["build", "--config", str(config), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "integer" in err
+
+    def test_integral_float_counts_accepted(self, tmp_path):
+        config = RunConfig.load(write_config(tmp_path / "c.json", degree=3.0, directions=7.0))
+        assert (config.degree, config.direction_count) == (3, 7)
+        assert type(config.degree) is int and type(config.direction_count) is int
+
     def test_deeply_nested_config_exits_2_with_one_line(self, tmp_path, capsys):
         config = write_config(tmp_path / "c.json")
         depth = 100000
@@ -226,7 +245,7 @@ class TestVerify:
         assert main(["verify", "--config", str(other), "--out", str(out), "--quiet"]) == 2
 
     def test_evanescent_direction_in_report(self, tmp_path):
-        config = write_config(tmp_path / "c.json")
+        config = write_config(tmp_path / "c.json", directions=1)
         split = build_problem(RunConfig.load(config)).split
         direction = (math.cosh(0.4), 1j * math.sinh(0.4))
         out = tmp_path / "out"
@@ -236,6 +255,19 @@ class TestVerify:
         assert main(["verify", "--config", str(config), "--out", str(out), "--quiet"]) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["functions"][0]["direction"] == [direction[0], [0.0, direction[1].imag]]
+
+    @pytest.mark.parametrize("keep", [0, 2], ids=["empty", "truncated"])
+    def test_basis_of_another_size_exits_2_with_one_line(self, tmp_path, capsys, keep):
+        config = write_config(tmp_path / "c.json")
+        out = tmp_path / "out"
+        main(["build", "--config", str(config), "--out", str(out), "--quiet"])
+        records = json.loads((out / "basis.json").read_text())
+        (out / "basis.json").write_text(json.dumps(records[:keep]))
+        assert main(["verify", "--config", str(config), "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{keep} functions" in err and "7 directions" in err
+        assert not (out / "report.json").exists()
 
     def test_missing_basis_is_config_error(self, tmp_path):
         config = write_config(tmp_path / "c.json")
