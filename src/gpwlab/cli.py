@@ -53,20 +53,12 @@ class RunConfig:
 
     @classmethod
     def load(cls, path: str | Path) -> "RunConfig":
-        try:
-            return cls.from_dict(json.loads(Path(path).read_text()))
-        except FileNotFoundError as err:
-            raise ConfigError(f"config not found: {path}") from err
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"config is not valid JSON: {err}") from err
-        except RecursionError as err:
-            raise ConfigError("config nests too deeply to read") from err
+        return cls.from_dict(_read_json(Path(path), "config"))
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
-        _require_finite(raw, "config")
         if raw.get("schema") != SCHEMA:
             raise ConfigError(f"config schema must be {SCHEMA!r}")
         try:
@@ -103,18 +95,31 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
-def _require_finite(value, where: str) -> None:
-    """Reject numbers that are not finite floats in parsed JSON.
+def _finite(parse):
+    """A JSON number hook that refuses what a finite float cannot hold (NaN, 1e999, 10**400)."""
 
-    Python's json reads NaN, Infinity and 1e999, and integers of any length.
-    """
-    if isinstance(value, dict):
-        value = list(value.values())
-    if isinstance(value, list):
-        for item in value:
-            _require_finite(item, where)
-    elif isinstance(value, (int, float)) and not abs(value) <= sys.float_info.max:
-        raise ConfigError(f"non-finite or out-of-range number in {where}")
+    def hook(text: str):
+        value = parse(text)
+        if not abs(value) <= sys.float_info.max:
+            raise ValueError(f"number {reprlib.repr(text)} is not a finite float")
+        return value
+
+    return hook
+
+
+def _read_json(path: Path, what: str):
+    """Parse a JSON file of finite numbers; anything unreadable is one ConfigError line."""
+    try:
+        return json.loads(
+            path.read_text(encoding="utf-8"),
+            parse_float=_finite(float),
+            parse_int=_finite(int),
+            parse_constant=_finite(float),
+        )
+    except OSError as err:
+        raise ConfigError(f"cannot read {what} {path}: {err.strerror or err}") from err
+    except (ValueError, RecursionError) as err:
+        raise ConfigError(f"unreadable {what} {path}: {err}") from err
 
 
 def _parse_scalar(value) -> complex:
@@ -213,8 +218,11 @@ def _build_problem(config: RunConfig) -> Problem:
 
 
 def _write(path: Path, text: str, quiet: bool) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as err:
+        raise ConfigError(f"cannot write {path}: {err.strerror or err}") from err
     if not quiet:
         print(f"wrote {path}")
 
@@ -233,17 +241,14 @@ def cmd_build(config: RunConfig, out: Path, quiet: bool) -> int:
 def cmd_verify(config: RunConfig, out: Path, quiet: bool) -> int:
     problem = build_problem(config)
     basis_path = out / BASIS_FILE
+    records = _read_json(basis_path, "basis file")
     try:
-        records = json.loads(basis_path.read_text())
-        _require_finite(records, str(basis_path))
         for record in records:
             degree = _records_degree(record["phase"])
             if degree > config.degree:
                 raise ConfigError(f"phase degree {degree} exceeds the run degree {config.degree}")
         family = basis.family_from_records(records)
-    except FileNotFoundError as err:
-        raise ConfigError(f"basis file not found: {basis_path}") from err
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError, RecursionError) as err:
+    except (KeyError, TypeError, ValueError) as err:
         raise ConfigError(f"unreadable basis file {basis_path}: {err}") from err
     label = problem.split.label
     if len(family) != config.direction_count:

@@ -1,81 +1,31 @@
 """Deterministic text serialization for artifacts.
 
 The command-line workflows promise byte-identical outputs for identical
-configs and seeds, so floats are always printed with 17 significant
-digits through a single code path instead of whatever the stdlib JSON
-encoder happens to emit.
+configs and seeds.  Floats are spelled with ``repr``, the shortest string
+that reads back to the same bits, which is what the stdlib JSON encoder
+prints on every platform; artifacts hold finite numbers only.
 """
 from __future__ import annotations
 
+import json
 import math
 from typing import Any
 
 
-def format_float(value: float) -> str:
-    value = float(value)
-    if math.isnan(value) or math.isinf(value):
-        raise ValueError("artifacts must contain finite numbers only")
-    return format(value, ".17g")
-
-
-def _escape(text: str) -> str:
-    out = ['"']
-    for ch in text:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
-
-
-def json_dumps(value: Any, indent: int = 0) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return format_float(value)
-    if isinstance(value, str):
-        return _escape(value)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [
-            f"{inner}{_escape(str(key))}: {json_dumps(item, indent + 1)}"
-            for key, item in value.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = [f"{inner}{json_dumps(item, indent + 1)}" for item in value]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
 def json_text(value: Any) -> str:
-    return json_dumps(value) + "\n"
+    return json.dumps(value, indent=2, allow_nan=False) + "\n"
+
+
+def _cell(cell) -> str:
+    if cell is None:
+        return ""
+    if isinstance(cell, float):
+        if not math.isfinite(cell):
+            raise ValueError("artifacts must contain finite numbers only")
+        return repr(float(cell))
+    return str(cell)
 
 
 def csv_text(header: tuple[str, ...], rows: list[tuple]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for cell in row:
-            if cell is None:
-                cells.append("")
-            elif isinstance(cell, float):
-                cells.append(format_float(cell))
-            else:
-                cells.append(str(cell))
-        lines.append(",".join(cells))
+    lines = [",".join(header)] + [",".join(_cell(cell) for cell in row) for row in rows]
     return "\n".join(lines) + "\n"

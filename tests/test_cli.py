@@ -2,12 +2,23 @@ import json
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import gpwlab.cli
-from gpwlab.basis import build_gpw, family_to_records
-from gpwlab.cli import ConfigError, RunConfig, build_problem, main
+from gpwlab.basis import (
+    build_family,
+    build_gpw,
+    family_from_records,
+    family_to_records,
+    unit_sphere_directions,
+)
+from gpwlab.cli import SCHEMA, ConfigError, RunConfig, build_problem, main
 from gpwlab.frame import corrupted
+from gpwlab.operators import CoefficientJet, make_helmholtz_split
+from gpwlab.polycore import GradedPoly
 from gpwlab.serialize import csv_text, json_text
 
 
@@ -36,6 +47,24 @@ MANUFACTURED = {
         {"exponents": [1, 1], "re": -0.07, "im": 0.02},
     ],
 }
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.integers(-(10**400), 10**400) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+config_like = st.fixed_dictionaries(
+    {"schema": st.just(SCHEMA)},
+    optional={
+        key: json_values
+        for key in ("dimension", "degree", "center", "directions", "h_values", "seed", "operator")
+    },
+)
+config_bytes = st.one_of(
+    st.binary(max_size=64),
+    (json_values | config_like).map(lambda doc: json.dumps(doc).encode()),
+    st.integers(4290, 4310).map(lambda n: b'{"schema": "gpw-run/1", "degree": ' + b"9" * n + b"}"),
+)
 
 
 class TestConfig:
@@ -117,6 +146,33 @@ class TestConfig:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
+        "write",
+        [
+            lambda path: path.write_bytes(b'{"schema": "gpw-run/1", "seed": "\xff"}'),
+            lambda path: path.mkdir(),
+            lambda path: path.write_text(write_config(path).read_text().replace("424242", "7" * 4301)),
+        ],
+        ids=["not-utf8", "directory", "int-over-4300-digits"],
+    )
+    def test_unreadable_config_exits_2_with_one_line(self, tmp_path, capsys, write):
+        config = tmp_path / "c.json"
+        write(config)
+        assert main(["build", "--config", str(config), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "c.json" in err
+
+    @given(raw=config_bytes)
+    def test_load_returns_or_raises_config_error(self, tmp_path_factory, raw):
+        # load only: degree and directions have no upper bound, so a fuzzed
+        # config must never reach build_problem or a command
+        path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+        path.write_bytes(raw)
+        try:
+            RunConfig.load(path)
+        except ConfigError:
+            pass
+
+    @pytest.mark.parametrize(
         "kappa_sq", [json.dumps(list(range(5000))), "[" * 980 + "]" * 980], ids=["long", "deep"]
     )
     def test_offending_value_is_clipped_in_the_error_line(self, tmp_path, capsys, kappa_sq):
@@ -161,6 +217,14 @@ class TestBuild:
         assert main(["build", "--config", str(config), "--out", str(out), "--quiet"]) == 0
         records = json.loads((out / "basis.json").read_text())
         assert len(records) == 7
+
+    def test_out_that_is_a_file_exits_2_with_one_line(self, tmp_path, capsys):
+        config = write_config(tmp_path / "c.json")
+        out = tmp_path / "out"
+        out.write_text("")
+        assert main(["build", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "basis.json" in err
 
     def test_supersonic_config_rejected(self, tmp_path):
         config = write_config(
@@ -231,6 +295,14 @@ class TestVerify:
         assert main(["verify", "--config", str(config), "--out", str(out), "--quiet"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_basis_path_that_is_a_directory_exits_2_with_one_line(self, tmp_path, capsys):
+        config = write_config(tmp_path / "c.json")
+        out = tmp_path / "out"
+        (out / "basis.json").mkdir(parents=True)
+        assert main(["verify", "--config", str(config), "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "basis.json" in err
 
     @pytest.mark.parametrize(
         "overrides",
@@ -369,17 +441,35 @@ class TestDeterminism:
 
 
 class TestSerializeHelpers:
-    def test_float_formatting_17_digits(self):
-        assert json_text(0.1) == "0.10000000000000001\n"
-        assert json_text([1.0, 2]) == "[\n  1,\n  2\n]\n"
+    def test_float_formatting_repr(self):
+        assert json_text(0.1) == "0.1\n"
+        assert json_text([1.0, 2]) == "[\n  1.0,\n  2\n]\n"
 
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
             json_text(float("nan"))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_csv_non_finite_rejected(self, value):
+        with pytest.raises(ValueError):
+            csv_text(("h", "error"), [(0.5, value)])
 
     def test_csv_formatting(self):
         text = csv_text(("h", "error", "slope"), [(0.5, 1e-3, None), (0.25, 1.2e-4, 3.06)])
         lines = text.splitlines()
         assert lines[0] == "h,error,slope"
         assert lines[1].endswith(",")
-        assert "3.0600000000000001" in lines[2]
+        assert lines[2] == "0.25,0.00012,3.06"
+
+    def test_basis_records_round_trip_bit_for_bit(self):
+        # the last of 49 sphere directions is (-0.0, 0.0, -1.0): signed zeros must survive
+        center = (0.1, -0.0, 0.3)
+        kappa_sq = GradedPoly(3, {(0, 0, 0): 16.0, (1, 0, 0): 1.3, (0, 1, 1): -0.4})
+        split = make_helmholtz_split(CoefficientJet.from_polynomial(kappa_sq, center), 3)
+        family = build_family(split, unit_sphere_directions(49), center=center)
+        back = family_from_records(json.loads(json_text(family_to_records(family))))
+        assert len(back) == len(family)
+        for phi, psi in zip(family, back):
+            assert psi.phase.vec.tobytes() == phi.phase.vec.tobytes()
+            assert np.array(psi.direction).tobytes() == np.array(phi.direction).tobytes()
+            assert np.array(psi.center).tobytes() == np.array(phi.center).tobytes()
