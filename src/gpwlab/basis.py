@@ -19,6 +19,7 @@ import numpy as np
 
 from .frame import FreeParameters, OperatorSplit, preimage
 from .polycore import GradedPoly
+from .serialize import integer, real
 
 UNIT_NORM_TOL = 1e-14
 
@@ -250,13 +251,12 @@ def _direction_payload(direction: Sequence[complex]) -> list:
 
 
 def _direction_from_payload(payload: Sequence) -> tuple[complex, ...]:
-    out = []
-    for c in payload:
-        if isinstance(c, (list, tuple)):
-            out.append(complex(float(c[0]), float(c[1])))
-        else:
-            out.append(float(c))
-    return tuple(out)
+    return tuple(
+        complex(real(c[0], "direction"), real(c[1], "direction"))
+        if isinstance(c, (list, tuple)) and len(c) == 2
+        else real(c, "direction")
+        for c in payload
+    )
 
 
 def family_to_records(family: Iterable[GpwFunction]) -> list[dict]:
@@ -278,16 +278,16 @@ def family_from_records(records: Iterable[Mapping]) -> list[GpwFunction]:
     family = []
     for record in records:
         direction = _direction_from_payload(record["direction"])
-        center = tuple(float(c) for c in record["x0"])
+        center = tuple(real(c, "x0") for c in record["x0"])
         phase = GradedPoly.from_records(len(center), record["phase"])
         family.append(
             GpwFunction(
                 center=center,
                 phase=phase,
-                degree=int(record["p"]),
+                degree=integer(record["p"], "p"),
                 direction=direction,
                 operator=str(record.get("operator", "")),
-                residual_norm=float(record["residual_norm"]),
+                residual_norm=real(record["residual_norm"], "residual_norm"),
             )
         )
     return family

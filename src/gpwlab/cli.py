@@ -26,7 +26,7 @@ from .operators import (
     omode_kappa_sq,
 )
 from .polycore import GradedPoly
-from .serialize import csv_text, json_text
+from .serialize import csv_text, integer, json_text, real
 
 SCHEMA = "gpw-run/1"
 RESIDUAL_TOL = 1e-11
@@ -62,12 +62,12 @@ class RunConfig:
         if raw.get("schema") != SCHEMA:
             raise ConfigError(f"config schema must be {SCHEMA!r}")
         try:
-            dim = _integer(raw["dimension"], "dimension")
-            degree = _integer(raw["degree"], "degree")
-            center = tuple(float(c) for c in raw["center"])
-            count = _integer(raw.get("directions", 1), "directions")
-            radii = tuple(float(h) for h in raw.get("h_values", ()))
-            seed = _integer(raw.get("seed", 0), "seed")
+            dim = integer(raw["dimension"], "dimension")
+            degree = integer(raw["degree"], "degree")
+            center = tuple(real(c, "center") for c in raw["center"])
+            count = integer(raw.get("directions", 1), "directions")
+            radii = tuple(real(h, "h_values") for h in raw.get("h_values", ()))
+            seed = integer(raw.get("seed", 0), "seed")
             operator = dict(raw["operator"])
         except (KeyError, TypeError, ValueError) as err:
             raise ConfigError(f"bad config field: {err}") from err
@@ -86,13 +86,6 @@ class RunConfig:
         if seed < 0 or seed >= 2**64:
             raise ConfigError("seed must fit in 64 bits")
         return cls(dim, degree, center, count, radii, seed, operator)
-
-
-def _integer(value, name: str) -> int:
-    """An integer config field: an int, or a float with an integral value; never a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or value != int(value):
-        raise ConfigError(f"{name} must be an integer, got {reprlib.repr(value)}")
-    return int(value)
 
 
 def _finite(parse):
@@ -123,40 +116,34 @@ def _read_json(path: Path, what: str):
 
 
 def _parse_scalar(value) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
+    """A number, or an [re, im] pair of numbers."""
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
-    raise ConfigError(f"expected a number or [re, im] pair, got {reprlib.repr(value)}")
+        return complex(real(value[0], "re"), real(value[1], "im"))
+    return complex(real(value, "scalar"))
 
 
 def _records_degree(records) -> int:
     """Largest total degree in polynomial records, read before any storage is sized."""
-    return max((sum(int(e) for e in record["exponents"]) for record in records), default=-1)
+    degrees = (sum(integer(e, "exponent") for e in record["exponents"]) for record in records)
+    return max(degrees, default=-1)
 
 
 def _parse_coefficient(value, config: RunConfig) -> CoefficientJet:
-    """A coefficient is a constant scalar or a serialized centered polynomial.
+    """A coefficient is a scalar, or a centered polynomial: a list of record objects.
 
     Polynomials are stored densely up to their degree, so a coefficient may
     not exceed the degree of the run.
     """
-    if isinstance(value, (int, float)) or (
-        isinstance(value, (list, tuple))
-        and len(value) == 2
-        and all(isinstance(v, (int, float)) for v in value)
-    ):
+    if not (isinstance(value, list) and all(isinstance(record, dict) for record in value)):
         return CoefficientJet.constant(config.dim, _parse_scalar(value))
-    if isinstance(value, list):
-        try:
-            degree = _records_degree(value)
-            if degree > config.degree:
-                raise ConfigError(f"degree {degree} exceeds the run degree {config.degree}")
-            poly = GradedPoly.from_records(config.dim, value)
-        except (KeyError, TypeError, ValueError) as err:
-            raise ConfigError(f"bad polynomial records: {err}") from err
-        return as_jet(poly)
-    raise ConfigError(f"cannot read coefficient {reprlib.repr(value)}")
+    try:
+        degree = _records_degree(value)
+        if degree > config.degree:
+            raise ConfigError(f"degree {degree} exceeds the run degree {config.degree}")
+        poly = GradedPoly.from_records(config.dim, value)
+    except (KeyError, TypeError, ValueError) as err:
+        raise ConfigError(f"bad polynomial records: {err}") from err
+    return as_jet(poly)
 
 
 @dataclass(frozen=True)
@@ -188,7 +175,7 @@ def _build_problem(config: RunConfig) -> Problem:
             profile = omode_kappa_sq(
                 config.dim,
                 _parse_scalar(op.pop("kappa0_sq")),
-                float(op.pop("x_cut")),
+                real(op.pop("x_cut"), "x_cut"),
             )
             jet = CoefficientJet.from_polynomial(profile, config.center)
         elif preset == "manufactured":

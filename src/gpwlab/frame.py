@@ -9,7 +9,10 @@ construction routes are provided: :func:`preimage` walks the layers from
 the bottom, and :func:`right_inverse` sweeps the finite fixed-point form
 of the same equations (finite because the remainder composed with the
 solvers strictly raises the lowest occupied layer).  :func:`verify_split`
-checks all structural hypotheses on random samples.
+checks all structural hypotheses on random samples.  All random
+polynomials come from one drawer, one block of seeded uniforms cut into
+one stack per degree span; :func:`random_poly` and
+:func:`random_homogeneous` are its one-row calls.
 """
 from __future__ import annotations
 
@@ -22,7 +25,6 @@ from .polycore import (
     GradedPoly,
     HomogeneousPoly,
     MultiIndex,
-    layer_dimension,
     space_dimension,
 )
 
@@ -240,61 +242,38 @@ def random_poly(
     rng: np.random.Generator, dim: int, max_degree: int, min_degree: int = 0
 ) -> GradedPoly:
     """Dense random polynomial, coefficients uniform on the complex square [-1,1]^2."""
-    vec = np.zeros(space_dimension(dim, max_degree), dtype=complex)
-    start = space_dimension(dim, min_degree - 1)
-    vec[start:] = _uniform_complex(rng, len(vec) - start)
-    return GradedPoly.from_vector(dim, vec)
+    return _draw(rng, 1, dim, [(min_degree, max_degree)])[0].rows()[0]
 
 
 def random_homogeneous(rng: np.random.Generator, dim: int, degree: int) -> HomogeneousPoly:
-    return HomogeneousPoly.from_vector(
-        dim, degree, _uniform_complex(rng, layer_dimension(dim, degree))
-    )
+    return _draw(rng, 1, dim, [(degree, degree)])[0].rows()[0].layer(degree)
 
 
-def _uniform_complex(rng: np.random.Generator, count: int) -> np.ndarray:
-    """count values on the complex square [-1,1]^2, real and imaginary parts drawn in turn."""
-    parts = rng.uniform(-1.0, 1.0, (max(count, 0), 2))
-    return parts[:, 0] + 1j * parts[:, 1]
+def _draw(
+    rng: np.random.Generator, rows: int, dim: int, spans: Sequence[tuple[int, int]]
+) -> list[GradedPoly]:
+    """One stack of ``rows`` random polynomials per ``(low, high)`` degree span.
+
+    Layers low..high get coefficients uniform on the complex square
+    [-1,1]^2, real and imaginary parts in turn; layers below low are zero.
+    One block of uniforms fills row after row, span after span within a
+    row: what drawing each span of each row in turn would give.
+    """
+    bounds = [(space_dimension(dim, low - 1), space_dimension(dim, high)) for low, high in spans]
+    widths = [max(size - start, 0) for start, size in bounds]
+    parts = rng.uniform(-1.0, 1.0, (rows, sum(widths), 2))
+    blocks = np.split(parts[..., 0] + 1j * parts[..., 1], np.cumsum(widths)[:-1], axis=1)
+    out = []
+    for (start, size), block in zip(bounds, blocks):
+        vec = np.zeros((rows, size), dtype=complex)
+        vec[:, start:] = block
+        out.append(GradedPoly.from_vector(dim, vec))
+    return out
 
 
 def _rel(deviation: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """Per-row deviation relative to max(scale, 1)."""
     return deviation / np.maximum(scale, 1.0)
-
-
-def _draw_trial(rng: np.random.Generator, split: OperatorSplit) -> tuple:
-    """One trial's random inputs, in stream order; per-layer inputs come as tuples.
-
-    ``tail`` holds the top-layer input and the nilpotency input, or nothing
-    when the split has no layers.
-    """
-    dim, order, layers, top = split.dim, split.order, split.layer_count, split.source_degree
-    p = random_poly(rng, dim, top)
-    q = random_poly(rng, dim, top)
-    alpha = complex(*rng.uniform(-1.0, 1.0, 2))
-    h, b = [], []
-    for n in range(layers):
-        h.append(random_homogeneous(rng, dim, n + order).as_graded())
-        b.append(random_homogeneous(rng, dim, n).as_graded())
-    low = random_poly(rng, dim, order - 1)
-    shift = tuple(random_poly(rng, dim, top, min_degree=n + order) for n in range(layers - 1))
-    tail = () if layers == 0 else (
-        random_homogeneous(rng, dim, top).as_graded(),
-        random_poly(rng, dim, split.last_layer),
-    )
-    base = random_poly(rng, dim, order - 1)
-    pieces = tuple(random_homogeneous(rng, dim, n + order).as_graded() for n in range(layers))
-    return p, q, alpha, tuple(h), tuple(b), low, shift, tail, base, pieces
-
-
-def _stacked(column: Sequence):
-    """The trials' values of one input as a stack; tuples of inputs stack entry by entry."""
-    if isinstance(column[0], GradedPoly):
-        return GradedPoly.stack(column)
-    if isinstance(column[0], tuple):
-        return tuple(_stacked(entry) for entry in zip(*column))
-    return np.array(column)
 
 
 def verify_split(
@@ -310,19 +289,31 @@ def verify_split(
     right-inverse identity of the layer solvers, annihilation of the
     low-degree pass-through block, the layer shift and top-layer
     annihilation of the remainder, nilpotency of remainder-after-solvers,
-    and prefix locality of the remainder's layer projections.  The inputs
-    of every trial are drawn first, trial by trial, then stacked: each
-    check runs once (once per layer) on the stack of all trials, and each
-    row gives the violation its trial would give alone, bit for bit.  The
+    and prefix locality of the remainder's layer projections.  All trials'
+    inputs are one :func:`_draw` of one stack per input, one row per
+    trial, in the stream order of drawing them trial by trial.  Each check
+    runs once (once per layer) on the stacks, and each row gives the
+    violation its trial would give alone, bit for bit.  The
     worst row of each check is reported; a NaN violation fails the check.
     Failures are recorded in the report, never raised.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    rng = np.random.default_rng(seed)
-    p, q, alpha, h, b, low, shift, tail, base, pieces = (
-        _stacked(column) for column in zip(*(_draw_trial(rng, split) for _ in range(trials)))
+    order, layers, top = split.order, split.layer_count, split.source_degree
+    source = [(n + order, n + order) for n in range(layers)]
+    groups = (  # the degree spans of each input, in stream order
+        [(0, top)], [(0, top)], [(0, 0)],  # p, q, alpha
+        [span for n in range(layers) for span in (source[n], (n, n))],  # h, b
+        [(0, order - 1)],  # low
+        [(n + order, top) for n in range(layers - 1)],  # shift
+        [(top, top), (0, split.last_layer)] if layers else [],  # tail
+        [(0, order - 1)], source,  # base, pieces
     )
+    drawn = iter(_draw(np.random.default_rng(seed), trials, split.dim, sum(groups, [])))
+    (p,), (q,), (alpha,), hb, (low,), shift, tail, (base,), pieces = (
+        [next(drawn) for _ in group] for group in groups
+    )
+    alpha, h, b = alpha.vec[:, 0], hb[0::2], hb[1::2]
     violations = dict.fromkeys(
         (
             "principal_linear",

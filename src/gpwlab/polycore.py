@@ -55,6 +55,8 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from .serialize import integer, real
+
 MultiIndex = tuple[int, ...]
 
 Scalar = complex | float | int
@@ -690,10 +692,10 @@ class GradedPoly(_Poly):
 
     @classmethod
     def from_records(cls, dim: int, records: Iterable[Mapping]) -> "GradedPoly":
+        """Inverse of :meth:`to_records`, signed zeros included; repeated monomials add up."""
         coeffs: dict[MultiIndex, complex] = {}
         for record in records:
-            index = tuple(int(e) for e in record["exponents"])
-            coeffs[index] = coeffs.get(index, 0j) + complex(
-                float(record["re"]), float(record["im"])
-            )
+            index = tuple(integer(e, "exponent") for e in record["exponents"])
+            value = complex(real(record["re"], "re"), real(record["im"], "im"))
+            coeffs[index] = coeffs[index] + value if index in coeffs else value
         return cls(dim, coeffs)

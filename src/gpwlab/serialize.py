@@ -3,13 +3,30 @@
 The command-line workflows promise byte-identical outputs for identical
 configs and seeds.  Floats are spelled with ``repr``, the shortest string
 that reads back to the same bits, which is what the stdlib JSON encoder
-prints on every platform; artifacts hold finite numbers only.
+prints on every platform; artifacts hold finite numbers only.  Numbers
+read back from a JSON file go through :func:`integer` and :func:`real`,
+which take JSON numbers only: never a bool, a string or a truncated float.
 """
 from __future__ import annotations
 
 import json
 import math
+import reprlib
 from typing import Any
+
+
+def integer(value, name: str) -> int:
+    """An int, or a float with an integral value; never a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value != int(value):
+        raise ValueError(f"{name} must be an integer, got {reprlib.repr(value)}")
+    return int(value)
+
+
+def real(value, name: str) -> float:
+    """An int or a float, as a float; never a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {reprlib.repr(value)}")
+    return float(value)
 
 
 def json_text(value: Any) -> str:

@@ -106,9 +106,27 @@ class TestConfig:
             {"operator": {"type": "helmholtz", "kappa_sq_jet": [
                 {"exponents": [0, 0], "re": math.inf, "im": 0.0}
             ]}},
+            {"center": ["nan", 0.0]},
+            {"h_values": [0.4, 0.2, 0.1, "nan"]},
+            {"operator": {"type": "convected", "rho": 1.0, "mach": [0.2, 0.1], "kappa": ["nan", 0]}},
+            {"operator": {"type": "helmholtz", "preset": "omode_linear", "kappa0_sq": 9.0, "x_cut": "nan"}},
+            {"operator": {"type": "helmholtz", "preset": "constant_kappa", "kappa_sq": True}},
+            {"operator": {"type": "helmholtz", "kappa_sq_jet": [
+                {"exponents": [0, 0], "re": "nan", "im": 0.0}
+            ]}},
+            {"operator": {"type": "helmholtz", "kappa_sq_jet": [
+                {"exponents": [0, 0], "re": 25.0, "im": 0.0},
+                {"exponents": [1.9, 0], "re": 0.5, "im": 0.0},
+            ]}},
+            {"operator": {"type": "helmholtz", "kappa_sq_jet": [
+                {"exponents": [0, 0], "re": 25.0, "im": 0.0},
+                {"exponents": [True, False], "re": 0.5, "im": 0.0},
+            ]}},
         ],
         ids=["missing-kappa-sq", "missing-phase", "x-cut-zero", "nan-kappa-sq",
-             "nan-center", "huge-int-center", "nan-mach", "inf-record"],
+             "nan-center", "huge-int-center", "nan-mach", "inf-record",
+             "string-center", "string-h-value", "string-kappa", "string-x-cut",
+             "bool-kappa-sq", "string-record-re", "float-exponent", "bool-exponents"],
     )
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, overrides):
         config = write_config(tmp_path / "c.json", **overrides)
@@ -285,6 +303,23 @@ class TestVerify:
         records[0]["phase"][0]["re"] = math.nan
         (out / "basis.json").write_text(json.dumps(records))
         assert main(["verify", "--config", str(config), "--out", str(out), "--quiet"]) == 2
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("p", 3.5), ("x0", ["0.0", 0.0]), ("residual_norm", "0"), ("direction", [1.0, True]),
+         ("direction", [[1.0], 0.0])],
+        ids=["float-p", "string-x0", "string-residual-norm", "bool-direction", "short-direction-pair"],
+    )
+    def test_basis_numbers_must_be_json_numbers(self, tmp_path, capsys, field, value):
+        config = write_config(tmp_path / "c.json")
+        out = tmp_path / "out"
+        main(["build", "--config", str(config), "--out", str(out), "--quiet"])
+        records = json.loads((out / "basis.json").read_text())
+        records[0][field] = value
+        (out / "basis.json").write_text(json.dumps(records))
+        assert main(["verify", "--config", str(config), "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_deeply_nested_basis_is_config_error(self, tmp_path, capsys):
         config = write_config(tmp_path / "c.json")

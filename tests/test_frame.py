@@ -284,9 +284,12 @@ class TestStackedVerifyMatchesReference:
     SPLITS = {
         "helmholtz-2d": lambda: variable_helmholtz(2, 6, 11),
         "helmholtz-3d": lambda: variable_helmholtz(3, 5, 12),
+        "convected-2d": lambda: variable_convected(2, 6, 15),
         "convected-3d": lambda: variable_convected(3, 5, 13),
         "corrupted": lambda: corrupted(variable_convected(3, 4, 14)),
         "no-layers": lambda: make_helmholtz_split(GradedPoly.constant(2, 4.0), 1),
+        # shift draws nothing, tail still draws its two inputs
+        "one-layer": lambda: make_helmholtz_split(GradedPoly.constant(3, 4.0), 2),
     }
 
     @pytest.mark.parametrize("trials", [1, 7, 50])

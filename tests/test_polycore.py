@@ -181,8 +181,14 @@ class TestSerialization:
 
     @given(st.data(), st.integers(1, 3))
     def test_roundtrip(self, data, dim):
-        p = data.draw(graded_polys(dim=dim))
-        assert GradedPoly.from_records(dim, p.to_records()) == p
+        part = st.sampled_from([0.0, -0.0]) | st.floats(-2.0, 2.0)
+        signed_zeros = st.dictionaries(
+            st.sampled_from(monomials_up_to(dim, 4)), st.builds(complex, part, part), max_size=4
+        )
+        coeffs = {**data.draw(graded_polys(dim=dim)).coeffs, **data.draw(signed_zeros)}
+        p = GradedPoly(dim, coeffs)
+        back = GradedPoly.from_records(dim, p.to_records())
+        assert back == p and back.vec.tobytes() == p.vec.tobytes()
 
 
 # -- spec-level properties -------------------------------------------------
