@@ -11,15 +11,17 @@ satisfies the truncated operator equation.
 from __future__ import annotations
 
 import cmath
+import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .frame import FreeParameters, OperatorSplit, preimage
-from .polycore import GradedPoly
-from .serialize import integer, real
+from .polycore import GradedPoly, monomials_up_to, records_stack
+from .serialize import integer, json_text, real
 
 UNIT_NORM_TOL = 1e-14
 
@@ -259,35 +261,98 @@ def _direction_from_payload(payload: Sequence) -> tuple[complex, ...]:
     )
 
 
+def _record(phi: GpwFunction, phase: list) -> dict:
+    return {
+        "direction": _direction_payload(phi.direction),
+        "x0": list(phi.center),
+        "p": phi.degree,
+        "operator": phi.operator,
+        "phase": phase,
+        "residual_norm": phi.residual_norm,
+    }
+
+
 def family_to_records(family: Iterable[GpwFunction]) -> list[dict]:
     """Basis file payload: one record per function, graded-lex phase coefficients."""
-    return [
-        {
-            "direction": _direction_payload(phi.direction),
-            "x0": list(phi.center),
-            "p": phi.degree,
-            "operator": phi.operator,
-            "phase": phi.phase.to_records(),
-            "residual_norm": phi.residual_norm,
-        }
-        for phi in family
-    ]
+    return [_record(phi, phi.phase.to_records()) for phi in family]
+
+
+@lru_cache(maxsize=None)
+def _term_templates(dim: int, cap: int) -> tuple[str, ...]:
+    """Basis-file text of the phase record of each graded-lex monomial, ``%s`` for re and im.
+
+    Each is the encoder's own ``indent=2`` text of a sample record, indented
+    to the depth of a phase term (three levels) after its first line.
+    """
+    templates = []
+    for index in monomials_up_to(dim, cap):
+        text = json.dumps({"exponents": list(index), "re": 0.5, "im": 0.25}, indent=2)
+        text = text.replace('"re": 0.5,', '"re": %s,').replace('"im": 0.25', '"im": %s')
+        templates.append(text.replace("\n", "\n      "))
+    return tuple(templates)
+
+
+def family_text(family: Sequence[GpwFunction]) -> str:
+    """``json_text(family_to_records(family))``, byte for byte, for functions of one dimension.
+
+    The per-function headers go through :func:`json_text` with an empty
+    phase.  The phase terms come from one ``np.nonzero`` of the family's
+    phase stack, each filled into its monomial's template with
+    ``float.__repr__``, the encoder's own spelling.  A non-finite
+    coefficient raises the encoder's ``ValueError``.
+    """
+    if not family:
+        return json_text([])
+    phases = GradedPoly.stack([phi.phase for phi in family])
+    if not np.isfinite(phases.vec).all():
+        # the reference raises for the first non-finite number it meets
+        return json_text(family_to_records(family))
+    heads = json_text([_record(phi, []) for phi in family]).split('"phase": []')
+    rows, cols = np.nonzero(phases.vec)
+    values = phases.vec[rows, cols]
+    templates = _term_templates(phases.dim, phases.cap)
+    re = map(float.__repr__, values.real.tolist())
+    im = map(float.__repr__, values.imag.tolist())
+    terms = [templates[col] % (r, i) for col, r, i in zip(cols.tolist(), re, im)]
+    out = [heads[0]]
+    start = 0
+    for end, head in zip(np.cumsum(np.bincount(rows, minlength=len(family))).tolist(), heads[1:]):
+        body = ",\n      ".join(terms[start:end])
+        out.append(f'"phase": [\n      {body}\n    ]' if body else '"phase": []')
+        out.append(head)
+        start = end
+    return "".join(out)
 
 
 def family_from_records(records: Iterable[Mapping]) -> list[GpwFunction]:
-    family = []
-    for record in records:
-        direction = _direction_from_payload(record["direction"])
-        center = tuple(real(c, "x0") for c in record["x0"])
-        phase = GradedPoly.from_records(len(center), record["phase"])
-        family.append(
-            GpwFunction(
-                center=center,
-                phase=phase,
-                degree=integer(record["p"], "p"),
-                direction=direction,
-                operator=str(record.get("operator", "")),
-                residual_norm=real(record["residual_norm"], "residual_norm"),
-            )
+    """Inverse of :func:`family_to_records`, signed zeros included."""
+    return _read_family(records)[0]
+
+
+def _read_family(
+    records: Iterable[Mapping], bound: int | None = None
+) -> tuple[list[GpwFunction], GradedPoly]:
+    """The functions of basis-file records and their phases as one stack, read in one call.
+
+    Each function's phase is its row of the stack at its own cap, which is
+    what reading its records alone gives.  A phase record above ``bound``
+    is refused before any storage is sized.
+    """
+    records = list(records)
+    centers = [tuple(real(c, "x0") for c in record["x0"]) for record in records]
+    dim = len(centers[0]) if centers else 1
+    if any(len(center) != dim for center in centers):
+        raise ValueError("basis records mix dimensions")
+    phases, caps = records_stack(dim, [record["phase"] for record in records], bound)
+    family = [
+        GpwFunction(
+            center=center,
+            phase=phase.truncate(cap),
+            degree=integer(record["p"], "p"),
+            direction=_direction_from_payload(record["direction"]),
+            operator=str(record.get("operator", "")),
+            residual_norm=real(record["residual_norm"], "residual_norm"),
         )
-    return family
+        for record, center, phase, cap in zip(records, centers, phases.rows(), caps.tolist())
+    ]
+    return family, phases

@@ -122,12 +122,6 @@ def _parse_scalar(value) -> complex:
     return complex(real(value, "scalar"))
 
 
-def _records_degree(records) -> int:
-    """Largest total degree in polynomial records, read before any storage is sized."""
-    degrees = (sum(integer(e, "exponent") for e in record["exponents"]) for record in records)
-    return max(degrees, default=-1)
-
-
 def _parse_coefficient(value, config: RunConfig) -> CoefficientJet:
     """A coefficient is a scalar, or a centered polynomial: a list of record objects.
 
@@ -137,10 +131,7 @@ def _parse_coefficient(value, config: RunConfig) -> CoefficientJet:
     if not (isinstance(value, list) and all(isinstance(record, dict) for record in value)):
         return CoefficientJet.constant(config.dim, _parse_scalar(value))
     try:
-        degree = _records_degree(value)
-        if degree > config.degree:
-            raise ConfigError(f"degree {degree} exceeds the run degree {config.degree}")
-        poly = GradedPoly.from_records(config.dim, value)
+        poly = GradedPoly.from_records(config.dim, value, bound=config.degree)
     except (KeyError, TypeError, ValueError) as err:
         raise ConfigError(f"bad polynomial records: {err}") from err
     return as_jet(poly)
@@ -218,7 +209,7 @@ def cmd_build(config: RunConfig, out: Path, quiet: bool) -> int:
     problem = build_problem(config)
     dirs = basis.directions(config.dim, config.direction_count)
     family = basis.build_family(problem.split, dirs, center=config.center)
-    _write(out / BASIS_FILE, json_text(basis.family_to_records(family)), quiet)
+    _write(out / BASIS_FILE, basis.family_text(family), quiet)
     if not quiet:
         worst = max(phi.residual_norm for phi in family)
         print(f"built {len(family)} functions, worst residual {worst:.3e}")
@@ -230,11 +221,7 @@ def cmd_verify(config: RunConfig, out: Path, quiet: bool) -> int:
     basis_path = out / BASIS_FILE
     records = _read_json(basis_path, "basis file")
     try:
-        for record in records:
-            degree = _records_degree(record["phase"])
-            if degree > config.degree:
-                raise ConfigError(f"phase degree {degree} exceeds the run degree {config.degree}")
-        family = basis.family_from_records(records)
+        family, phases = basis._read_family(records, bound=config.degree)
     except (KeyError, TypeError, ValueError) as err:
         raise ConfigError(f"unreadable basis file {basis_path}: {err}") from err
     label = problem.split.label
@@ -251,9 +238,7 @@ def cmd_verify(config: RunConfig, out: Path, quiet: bool) -> int:
                 f"x0={config.center}, {label!r}"
             )
     hypotheses = verify_split(problem.split, trials=50, seed=config.seed)
-    residuals = basis._certificates(
-        problem.split, GradedPoly.stack([phi.phase for phi in family])
-    ).tolist()
+    residuals = basis._certificates(problem.split, phases).tolist()
     not_finite = [c.check for c in hypotheses.checks if not math.isfinite(c.max_violation)]
     not_finite += [f"function {i}" for i, r in enumerate(residuals) if not math.isfinite(r)]
     if not_finite:
@@ -280,11 +265,25 @@ def cmd_verify(config: RunConfig, out: Path, quiet: bool) -> int:
         "passed": passed,
     }
     _write(out / REPORT_FILE, json_text(report), quiet)
+    failed_checks = [check for check in hypotheses.checks if not check.passed]
+    if failed_checks:
+        print(f"error: {label} {_failed_check_line(failed_checks)}", file=sys.stderr)
     if not quiet:
         failed = [f["index"] for f in functions if not f["passed"]]
         state = "all checks passed" if passed else f"FAILED (functions {failed})"
         print(f"verify: {state}")
     return 0 if passed else 1
+
+
+def _failed_check_line(failed) -> str:
+    """The first failed hypothesis check: its worst violation, trial and layer."""
+    check = failed[0]
+    where = f"trial {check.trial}" + ("" if check.layer is None else f", layer {check.layer}")
+    more = f" ({len(failed) - 1} more checks failed)" if len(failed) > 1 else ""
+    return (
+        f"check {check.check} failed: violation {check.max_violation:.3e} > "
+        f"{check.tolerance:.1e} at {where}{more}"
+    )
 
 
 def cmd_rank(config: RunConfig, out: Path, quiet: bool) -> int:

@@ -201,11 +201,20 @@ def right_inverse(split: OperatorSplit, target: GradedPoly) -> GradedPoly:
 
 @dataclass(frozen=True)
 class SplitCheck:
+    """One hypothesis check; ``trial`` and ``layer`` locate its worst violation.
+
+    ``layer`` is None for a check that does not run layer by layer, and both
+    are None when no violation is above zero.  They are diagnostics only:
+    :meth:`to_dict` leaves them out.
+    """
+
     check: str
     trials: int
     max_violation: float
     tolerance: float
     passed: bool
+    trial: int | None = None
+    layer: int | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -294,8 +303,9 @@ def verify_split(
     trial, in the stream order of drawing them trial by trial.  Each check
     runs once (once per layer) on the stacks, and each row gives the
     violation its trial would give alone, bit for bit.  The
-    worst row of each check is reported; a NaN violation fails the check.
-    Failures are recorded in the report, never raised.
+    worst row of each check is reported, with its trial and layer (the
+    first of equal ones, layer before trial); a NaN violation is the worst
+    and fails the check.  Failures are recorded in the report, never raised.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -314,7 +324,7 @@ def verify_split(
         [next(drawn) for _ in group] for group in groups
     )
     alpha, h, b = alpha.vec[:, 0], hb[0::2], hb[1::2]
-    violations = dict.fromkeys(
+    worst = dict.fromkeys(
         (
             "principal_linear",
             "principal_layer_map",
@@ -325,11 +335,15 @@ def verify_split(
             "remainder_nilpotent",
             "remainder_prefix_local",
         ),
-        0.0,
+        (0.0, None, None),
     )
 
-    def record(check: str, rows: np.ndarray) -> None:
-        violations[check] = np.max(rows, initial=violations[check])
+    def record(check: str, rows: np.ndarray, layer: int | None = None) -> None:
+        rows = np.atleast_1d(rows)  # a single polynomial stands for every trial
+        trial = int(np.argmax(rows))  # the first NaN, else the first largest
+        value, known = rows[trial], worst[check][0]
+        if value > known or (np.isnan(value) and not np.isnan(known)):
+            worst[check] = (value, trial, layer)
 
     # linearity of the principal part
     lhs = split.principal(p + q.scaled(alpha))
@@ -343,12 +357,13 @@ def verify_split(
     for n in range(split.layer_count):
         image = split.principal(h[n])
         off_layer = image - image.layer(n).as_graded()
-        record("principal_layer_map", _rel(off_layer.row_max_abs(), image.row_max_abs()))
+        record("principal_layer_map", _rel(off_layer.row_max_abs(), image.row_max_abs()), n)
         target = b[n].layer(n)
         back = split.principal(split.solve_layer(n, target).as_graded()).layer(n)
         record(
             "principal_right_inverse",
             _rel((back - target).row_max_abs(), target.row_max_abs()),
+            n,
         )
 
     # annihilation of the pass-through block
@@ -361,7 +376,7 @@ def verify_split(
     for n, poly in enumerate(shift):
         image = split.remainder(poly)
         scale = np.maximum(image.row_max_abs(), poly.row_max_abs())
-        record("remainder_degree_shift", _rel(image.truncate(n).row_max_abs(), scale))
+        record("remainder_degree_shift", _rel(image.truncate(n).row_max_abs(), scale), n)
     if tail:
         top_input, y = tail
         record(
@@ -385,14 +400,14 @@ def verify_split(
     prefix = base
     for n, piece in enumerate(pieces):
         gap = image_full.layer(n) - split.remainder(prefix).layer(n)
-        record("remainder_prefix_local", _rel(gap.row_max_abs(), scale))
+        record("remainder_prefix_local", _rel(gap.row_max_abs(), scale), n)
         prefix = prefix + piece
 
     checks = []
-    for name, worst in violations.items():
-        worst = float(worst)
+    for name, (violation, trial, layer) in worst.items():
+        violation = float(violation)
         tol = nilpotency_tolerance if name == "remainder_nilpotent" else tolerance
-        checks.append(SplitCheck(name, trials, worst, tol, worst <= tol))
+        checks.append(SplitCheck(name, trials, violation, tol, violation <= tol, trial, layer))
     return SplitReport(split.label, seed, trials, tuple(checks))
 
 

@@ -21,8 +21,9 @@ polynomial.  The accessors ``coeffs``, ``degree``, ``max_abs`` and
 row (each mapped to the tuple of its row values), the highest row degree,
 the largest magnitude and whether any row is non-zero; ``row_max_abs``
 gives the largest magnitude of each row.
-Evaluation of a stack gives one column per row; records are for single
-polynomials, and a stack never equals a single polynomial.
+Evaluation of a stack gives one column per row; records are written for
+single polynomials and read back for a whole stack at once
+(:func:`records_stack`), and a stack never equals a single polynomial.
 
 The kernels are gathers over index tables that depend only on the
 dimension and the degrees involved.  Each table is built once, with numpy,
@@ -49,13 +50,15 @@ from __future__ import annotations
 
 import math
 import operator
+import reprlib
 from functools import lru_cache
+from itertools import chain
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .serialize import integer, real
+from .serialize import integers, reals
 
 MultiIndex = tuple[int, ...]
 
@@ -691,11 +694,66 @@ class GradedPoly(_Poly):
         ]
 
     @classmethod
-    def from_records(cls, dim: int, records: Iterable[Mapping]) -> "GradedPoly":
-        """Inverse of :meth:`to_records`, signed zeros included; repeated monomials add up."""
-        coeffs: dict[MultiIndex, complex] = {}
+    def from_records(
+        cls, dim: int, records: Iterable[Mapping], bound: int | None = None
+    ) -> "GradedPoly":
+        """Inverse of :meth:`to_records`: the one-row case of :func:`records_stack`."""
+        return records_stack(dim, [records], bound)[0].rows()[0]
+
+
+def records_stack(
+    dim: int, lists: Iterable[Iterable[Mapping]], bound: int | None = None
+) -> tuple[GradedPoly, np.ndarray]:
+    """Stack of the polynomials given as record lists, one row per list, and each row's cap.
+
+    This reads :meth:`GradedPoly.to_records` back for every row at once.
+    Exponents follow :func:`~gpwlab.serialize.integer` and parts
+    :func:`~gpwlab.serialize.real`, checked for all records at once.  With a
+    ``bound``, a record of higher total degree is refused before any storage
+    is sized.  A monomial's first record is assigned and repeats add in
+    record order; signed zeros survive in both parts, and a sum equal to
+    zero is stored as +0.  Each row's cap is that of its highest non-zero
+    term, as :class:`GradedPoly` gives; the stack's cap is the highest of them.
+    """
+    if dim < 1:
+        raise ValueError("dimension must be at least 1")
+    lists = [list(row) for row in lists]
+    records = [record for row in lists for record in row]
+    if not set(map(type, records)) <= {dict}:
         for record in records:
-            index = tuple(integer(e, "exponent") for e in record["exponents"])
-            value = complex(real(record["re"], "re"), real(record["im"], "im"))
-            coeffs[index] = coeffs[index] + value if index in coeffs else value
-        return cls(dim, coeffs)
+            if not isinstance(record, Mapping):
+                raise TypeError(f"a record must be an object, got {reprlib.repr(record)}")
+    exponents = [record["exponents"] for record in records]
+    if not set(map(len, exponents)) <= {dim}:
+        index = next(index for index in exponents if len(index) != dim)
+        raise ValueError(f"bad exponent tuple {reprlib.repr(index)} for dimension {dim}")
+    flat = integers(list(chain.from_iterable(exponents)), "exponent").reshape(len(records), dim)
+    negative = (flat < 0).any(axis=1)
+    if negative.any():
+        index = exponents[int(np.argmax(negative))]
+        raise ValueError(f"bad exponent tuple {reprlib.repr(index)} for dimension {dim}")
+    with np.errstate(over="ignore"):  # a sum beyond float range is inf, above any bound
+        degree = flat.sum(axis=1).max(initial=-1.0)
+    if bound is not None and degree > bound:
+        raise ValueError(f"a record of degree {degree:.0f} exceeds the degree bound {bound}")
+    cap = int(degree)
+    pairs = np.empty((len(records), 2))
+    pairs[:, 0] = reals([record["re"] for record in records], "re")
+    pairs[:, 1] = reals([record["im"] for record in records], "im")
+    values = pairs.view(complex)[:, 0]
+
+    size = space_dimension(dim, cap)
+    rows = np.repeat(np.arange(len(lists)), [len(row) for row in lists])
+    keys = rows * size + _basis(dim, cap).rank(flat.astype(np.int64))
+    first = np.unique(keys, return_index=True)[1]
+    out = np.zeros(len(lists) * size, dtype=complex)
+    out[keys[first]] = values[first]
+    repeat = np.ones(len(keys), dtype=bool)
+    repeat[first] = False
+    np.add.at(out, keys[repeat], values[repeat])
+    out[out == 0] = 0
+    vec = out.reshape(len(lists), size)
+    caps = np.where(vec != 0, _basis(dim, cap).degrees, -1).max(axis=1, initial=-1)
+    top = int(caps.max(initial=-1))
+    vec = np.ascontiguousarray(vec[:, : space_dimension(dim, top)])
+    return _graded(dim, top, vec), caps

@@ -1,11 +1,18 @@
 """Deterministic text serialization for artifacts.
 
 The command-line workflows promise byte-identical outputs for identical
-configs and seeds.  Floats are spelled with ``repr``, the shortest string
-that reads back to the same bits, which is what the stdlib JSON encoder
-prints on every platform; artifacts hold finite numbers only.  Numbers
-read back from a JSON file go through :func:`integer` and :func:`real`,
-which take JSON numbers only: never a bool, a string or a truncated float.
+configs and seeds.  Every JSON artifact is :func:`json_text`, the stdlib
+encoder at ``indent=2``.  Floats are spelled with ``float.__repr__``, the
+shortest string that reads back to the same bits, which is what that
+encoder prints on every platform; artifacts hold finite numbers only.  The
+basis file is the one large artifact: ``basis.family_text`` renders its
+phase terms from cached per-monomial templates cut from this encoder's
+own output, so its bytes are still exactly ``json_text`` of the records.
+
+Numbers read back from a JSON file go through :func:`integer` and
+:func:`real`, which take JSON numbers only: never a bool, a string or a
+truncated float.  :func:`integers` and :func:`reals` apply the same rules
+to a whole list at once, for the phase records of a basis file.
 """
 from __future__ import annotations
 
@@ -13,6 +20,8 @@ import json
 import math
 import reprlib
 from typing import Any
+
+import numpy as np
 
 
 def integer(value, name: str) -> int:
@@ -27,6 +36,29 @@ def real(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{name} must be a number, got {reprlib.repr(value)}")
     return float(value)
+
+
+def _numbers(values: list, rule, name: str) -> np.ndarray:
+    """``values`` as one float array; refused by ``rule`` if any is not an int or a float."""
+    if not set(map(type, values)) <= {int, float}:
+        for value in values:
+            rule(value, name)
+    return np.array(values, dtype=float)
+
+
+def reals(values: list, name: str) -> np.ndarray:
+    """:func:`real` of every entry, as one float array."""
+    return _numbers(values, real, name)
+
+
+def integers(values: list, name: str) -> np.ndarray:
+    """:func:`integer` of every entry, as one float array of integral values."""
+    array = _numbers(values, integer, name)
+    integral = np.isfinite(array) & (np.floor(array) == array)
+    if not integral.all():
+        value = values[int(np.argmin(integral))]
+        raise ValueError(f"{name} must be an integer, got {reprlib.repr(value)}")
+    return array
 
 
 def json_text(value: Any) -> str:

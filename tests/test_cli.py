@@ -16,7 +16,7 @@ from gpwlab.basis import (
     unit_sphere_directions,
 )
 from gpwlab.cli import SCHEMA, ConfigError, RunConfig, build_problem, main
-from gpwlab.frame import corrupted
+from gpwlab.frame import corrupted, verify_split
 from gpwlab.operators import CoefficientJet, make_helmholtz_split
 from gpwlab.polycore import GradedPoly
 from gpwlab.serialize import csv_text, json_text
@@ -321,6 +321,36 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"exponents": [True, 0], "re": 1.0, "im": 0.0},
+            {"exponents": [1.5, 0], "re": 1.0, "im": 0.0},
+            {"exponents": [-1, 1], "re": 1.0, "im": 0.0},
+            {"exponents": [1, 0, 0], "re": 1.0, "im": 0.0},
+            {"exponents": "12", "re": 1.0, "im": 0.0},
+            {"exponents": [10**30, 0], "re": 1.0, "im": 0.0},
+            {"exponents": [1e308, 1e308], "re": 1.0, "im": 0.0},
+            {"exponents": [1, 0], "re": "0", "im": 0.0},
+            {"exponents": [1, 0], "re": 1.0, "im": None},
+            [[1, 0], 1.0, 0.0],
+        ],
+        ids=["bool-exponent", "fractional-exponent", "negative-exponent", "exponents-length",
+             "string-exponents", "huge-exponent", "overflowing-degree", "string-re", "null-im",
+             "list-record"],
+    )
+    def test_bad_phase_record_exits_2_with_one_line(self, tmp_path, capsys, record):
+        config = write_config(tmp_path / "c.json")
+        out = tmp_path / "out"
+        main(["build", "--config", str(config), "--out", str(out), "--quiet"])
+        records = json.loads((out / "basis.json").read_text())
+        records[3]["phase"].insert(1, record)
+        (out / "basis.json").write_text(json.dumps(records))
+        assert main(["verify", "--config", str(config), "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "basis.json" in err
+        assert not (out / "report.json").exists()
+
     def test_deeply_nested_basis_is_config_error(self, tmp_path, capsys):
         config = write_config(tmp_path / "c.json")
         out = tmp_path / "out"
@@ -406,6 +436,28 @@ class TestCertificateFailure:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "residual" in err and err.count("\n") == 1
 
+
+    def test_failed_hypothesis_names_check_trial_and_layer(self, tmp_path, capsys, monkeypatch):
+        def corrupted_problem(config):
+            problem = build_problem(config)
+            return replace(problem, split=corrupted(problem.split))
+
+        config = write_config(tmp_path / "c.json", degree=4)
+        assert main(["build", "--config", str(config), "--out", str(tmp_path), "--quiet"]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(gpwlab.cli, "build_problem", corrupted_problem)
+        assert main(["verify", "--config", str(config), "--out", str(tmp_path), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        hypotheses = verify_split(corrupted_problem(RunConfig.load(config)).split, 50, 424242)
+        worst = next(check for check in hypotheses.checks if not check.passed)
+        assert worst.check == "remainder_degree_shift" and worst.layer is not None
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"check {worst.check} failed" in err
+        assert f"at trial {worst.trial}, layer {worst.layer}" in err
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["hypotheses"] == json.loads(json_text(hypotheses.to_dict()))
+        assert all(set(check) == {"check", "trials", "max_violation", "tolerance", "passed"}
+                   for check in report["hypotheses"]["checks"])
 
     def test_nan_verify_exits_1_without_traceback(self, tmp_path, capsys, monkeypatch):
         def nan_problem(config):

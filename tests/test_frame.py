@@ -170,7 +170,11 @@ class TestFreeParameterInjectivity:
 
 
 def verify_split_reference(split, trials=50, seed=0, tolerance=1e-12, nilpotency_tolerance=1e-13):
-    """verify_split as a loop over trials, one polynomial at a time: the stacked one's oracle."""
+    """verify_split as a loop over trials, one polynomial at a time: the stacked one's oracle.
+
+    Besides each check's worst violation it keeps the trial and layer of the
+    first worst one, layer before trial, as the stacked one names them.
+    """
     rng = np.random.default_rng(seed)
     s = split.last_layer
     top = split.source_degree
@@ -185,47 +189,51 @@ def verify_split_reference(split, trials=50, seed=0, tolerance=1e-12, nilpotency
         "remainder_prefix_local": 0.0,
     }
 
+    where = dict.fromkeys(violations, (None, None))
+
     def rel(deviation, scale):
         return deviation / max(scale, 1.0)
 
-    for _ in range(trials):
+    def note(check, value, layer=None):
+        def order(trial, layer):
+            return (-1 if layer is None else layer, trial)
+
+        value = float(value)
+        if value > violations[check] or (
+            value == violations[check] > 0 and order(trial, layer) < order(*where[check])
+        ):
+            violations[check] = value
+            where[check] = (trial, layer)
+
+    for trial in range(trials):
         p = random_poly(rng, split.dim, top)
         q = random_poly(rng, split.dim, top)
         alpha = complex(*rng.uniform(-1.0, 1.0, 2))
         lhs = split.principal(p + q.scaled(alpha))
         rhs = split.principal(p) + split.principal(q).scaled(alpha)
-        violations["principal_linear"] = max(
-            violations["principal_linear"],
-            rel((lhs - rhs).max_abs(), max(lhs.max_abs(), rhs.max_abs())),
-        )
+        note("principal_linear", rel((lhs - rhs).max_abs(), max(lhs.max_abs(), rhs.max_abs())))
         for n in range(split.layer_count):
             h = random_homogeneous(rng, split.dim, n + split.order)
             image = split.principal(h.as_graded())
             off_layer = image - image.layer(n).as_graded()
-            violations["principal_layer_map"] = max(
-                violations["principal_layer_map"], rel(off_layer.max_abs(), image.max_abs())
-            )
+            note("principal_layer_map", rel(off_layer.max_abs(), image.max_abs()), n)
             b = random_homogeneous(rng, split.dim, n)
             back = split.principal(split.solve_layer(n, b).as_graded()).layer(n)
-            violations["principal_right_inverse"] = max(
-                violations["principal_right_inverse"], rel((back - b).max_abs(), b.max_abs())
-            )
+            note("principal_right_inverse", rel((back - b).max_abs(), b.max_abs()), n)
         low = random_poly(rng, split.dim, split.order - 1)
-        violations["principal_kills_low_degree"] = max(
-            violations["principal_kills_low_degree"],
-            rel(split.principal(low).max_abs(), low.max_abs()),
-        )
+        note("principal_kills_low_degree", rel(split.principal(low).max_abs(), low.max_abs()))
         for n in range(split.layer_count - 1):
             poly = random_poly(rng, split.dim, top, min_degree=n + split.order)
             image = split.remainder(poly)
-            violations["remainder_degree_shift"] = max(
-                violations["remainder_degree_shift"],
+            note(
+                "remainder_degree_shift",
                 rel(image.truncate(n).max_abs(), max(image.max_abs(), poly.max_abs())),
+                n,
             )
         if split.layer_count > 0:
             top_input = random_homogeneous(rng, split.dim, top).as_graded()
-            violations["remainder_top_zero"] = max(
-                violations["remainder_top_zero"],
+            note(
+                "remainder_top_zero",
                 rel(split.remainder(top_input).max_abs(), top_input.max_abs()),
             )
             y = random_poly(rng, split.dim, s)
@@ -234,7 +242,7 @@ def verify_split_reference(split, trials=50, seed=0, tolerance=1e-12, nilpotency
                 y = y.scaled(1.0 / scale)
             for _ in range(split.layer_count):
                 y = split.remainder(split.solve_all(y.truncate(s)))
-            violations["remainder_nilpotent"] = max(violations["remainder_nilpotent"], y.max_abs())
+            note("remainder_nilpotent", y.max_abs())
         base = random_poly(rng, split.dim, split.order - 1)
         pieces = [
             random_homogeneous(rng, split.dim, n + split.order).as_graded()
@@ -247,15 +255,16 @@ def verify_split_reference(split, trials=50, seed=0, tolerance=1e-12, nilpotency
         prefix = base
         for n in range(split.layer_count):
             gap = image_full.layer(n) - split.remainder(prefix).layer(n)
-            violations["remainder_prefix_local"] = max(
-                violations["remainder_prefix_local"],
+            note(
+                "remainder_prefix_local",
                 rel(gap.max_abs(), max(image_full.max_abs(), full.max_abs())),
+                n,
             )
             prefix = prefix + pieces[n]
     checks = []
     for name, worst in violations.items():
         tol = nilpotency_tolerance if name == "remainder_nilpotent" else tolerance
-        checks.append(SplitCheck(name, trials, worst, tol, worst <= tol))
+        checks.append(SplitCheck(name, trials, worst, tol, worst <= tol, *where[name]))
     return SplitReport(split.label, seed, trials, tuple(checks))
 
 
@@ -298,6 +307,13 @@ class TestStackedVerifyMatchesReference:
         split = self.SPLITS[name]()
         got = verify_split(split, trials=trials, seed=2024).to_dict()
         assert got == verify_split_reference(split, trials=trials, seed=2024).to_dict()
+
+
+    @pytest.mark.parametrize("name", sorted(SPLITS))
+    def test_worst_trial_and_layer_equal_per_trial_loop(self, name):
+        split = self.SPLITS[name]()
+        got = verify_split(split, trials=7, seed=2024).checks
+        assert got == verify_split_reference(split, trials=7, seed=2024).checks
 
 
 class TestVerifySplit:

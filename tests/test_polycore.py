@@ -9,8 +9,10 @@ from gpwlab.polycore import (
     layer_dimension,
     monomials_of_degree,
     monomials_up_to,
+    records_stack,
     space_dimension,
 )
+from gpwlab.serialize import integer, real
 
 from conftest import finite_coeffs, graded_polys, random_points
 
@@ -189,6 +191,103 @@ class TestSerialization:
         p = GradedPoly(dim, coeffs)
         back = GradedPoly.from_records(dim, p.to_records())
         assert back == p and back.vec.tobytes() == p.vec.tobytes()
+
+
+def from_records_reference(dim, records):
+    """The per-record reader that ``records_stack`` replaced, kept as its oracle."""
+    coeffs = {}
+    for record in records:
+        index = tuple(integer(e, "exponent") for e in record["exponents"])
+        value = complex(real(record["re"], "re"), real(record["im"], "im"))
+        coeffs[index] = coeffs[index] + value if index in coeffs else value
+    return GradedPoly(dim, coeffs)
+
+
+def same_bits(a, b):
+    return a.cap == b.cap and a.vec.tobytes() == b.vec.tobytes()
+
+
+@st.composite
+def record_lists(draw, dim):
+    """Records over few monomials (so repeats are common), zero and signed-zero parts,
+    int and float parts, and exponents that are sometimes integral floats."""
+    monomials = draw(st.lists(st.sampled_from(monomials_up_to(dim, 4)), min_size=1, max_size=3))
+    part = st.sampled_from([0.0, -0.0, 0, 1, -2.5]) | st.floats(-3.0, 3.0)
+    records = []
+    for _ in range(draw(st.integers(0, 8))):
+        index = draw(st.sampled_from(monomials))
+        if draw(st.booleans()):
+            index = [float(e) for e in index]
+        records.append({"exponents": list(index), "re": draw(part), "im": draw(part)})
+    return records
+
+
+class TestRecordsStack:
+    """The bulk reader against the per-record loop, bit for bit, sign bits and caps included."""
+
+    @given(st.data(), st.integers(1, 3))
+    def test_one_list_equals_the_per_record_loop(self, data, dim):
+        records = data.draw(record_lists(dim))
+        assert same_bits(GradedPoly.from_records(dim, records), from_records_reference(dim, records))
+
+    @given(st.data(), st.integers(1, 3))
+    def test_each_row_equals_its_list_read_alone(self, data, dim):
+        lists = data.draw(st.lists(record_lists(dim), max_size=5))
+        stack, caps = records_stack(dim, lists)
+        assert stack.vec.shape[0] == len(lists) == len(caps)
+        assert stack.cap == max(caps, default=-1)
+        for row, cap, records in zip(stack.rows(), caps, lists):
+            assert same_bits(row.truncate(cap), from_records_reference(dim, records))
+
+    def test_repeats_add_in_record_order_and_zero_sums_leave_the_cap(self):
+        records = [
+            {"exponents": [0, 1], "re": 1e16, "im": -0.0},
+            {"exponents": [3, 0], "re": -0.0, "im": -0.0},
+            {"exponents": [0, 1], "re": -1e16, "im": -0.0},
+            {"exponents": [1.0, 0.0], "re": -0.0, "im": 2},
+            {"exponents": [2, 0], "re": 1.5, "im": 0.0},
+            {"exponents": [0, 1], "re": 1.0, "im": -0.0},
+            {"exponents": [2, 0], "re": -1.5, "im": 0.0},
+        ]
+        got = GradedPoly.from_records(2, records)
+        assert same_bits(got, from_records_reference(2, records))
+        assert got.cap == 1 and got.vec.tolist() == [0j, 1 + 0j, 2j]  # 1 + 1e16 - 1e16 is 0
+        assert np.signbit(got.vec.imag[1]) and np.signbit(got.vec.real[2])
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"exponents": [True, 0], "re": 1.0, "im": 0.0},
+            {"exponents": [1.5, 0], "re": 1.0, "im": 0.0},
+            {"exponents": [-1, 2], "re": 1.0, "im": 0.0},
+            {"exponents": [1, 0, 0], "re": 1.0, "im": 0.0},
+            {"exponents": "12", "re": 1.0, "im": 0.0},
+            {"exponents": [1, 0], "re": "0", "im": 0.0},
+            {"exponents": [1, 0], "re": 1.0, "im": None},
+            {"exponents": [1, 0], "re": 1.0},
+            [[1, 0], 1.0, 0.0],
+        ],
+        ids=["bool", "fraction", "negative", "length", "string-exponents", "string-re",
+             "null-im", "missing-im", "list-record"],
+    )
+    def test_refuses_what_the_per_record_loop_refuses(self, record):
+        records = [{"exponents": [0, 0], "re": 1.0, "im": 0.0}, record]
+        with pytest.raises((KeyError, TypeError, ValueError)):
+            from_records_reference(2, records)
+        with pytest.raises((KeyError, TypeError, ValueError)):
+            GradedPoly.from_records(2, records)
+
+    @pytest.mark.parametrize("exponent", [4, 10**9, 10**30, 1e308])
+    def test_bound_is_checked_before_storage_is_sized(self, exponent):
+        records = [{"exponents": [exponent, exponent], "re": 0.0, "im": 0.0}]
+        with pytest.raises(ValueError, match="exceeds the degree bound 3"):
+            GradedPoly.from_records(2, records, bound=3)
+
+    def test_no_lists_and_empty_lists(self):
+        stack, caps = records_stack(2, [])
+        assert stack.vec.shape == (0, 0) and stack.cap == -1 and caps.size == 0
+        stack, caps = records_stack(3, [[], []])
+        assert stack.vec.shape == (2, 0) and caps.tolist() == [-1, -1]
 
 
 # -- spec-level properties -------------------------------------------------

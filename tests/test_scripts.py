@@ -1,5 +1,7 @@
-"""The experiment scripts run with their default arguments and report success."""
+"""The scripts under scripts/ run and print what they promise."""
+import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -27,3 +29,50 @@ def test_script_runs_with_defaults(script):
     )
     assert result.returncode == 0, result.stderr
     assert EXPECTED[script] in result.stdout.splitlines()[-1]
+
+
+def test_artifact_digests_repeat(tmp_path):
+    config = {
+        "schema": "gpw-run/1",
+        "dimension": 2,
+        "degree": 3,
+        "center": [0.1, -0.2],
+        "directions": 7,
+        "h_values": [0.4, 0.2, 0.1, 0.05],
+        "operator": {
+            "type": "helmholtz",
+            "preset": "manufactured",
+            "phase": [
+                {"exponents": [1, 0], "re": 0.0, "im": 1.8},
+                {"exponents": [0, 1], "re": -0.0, "im": 0.9},
+                {"exponents": [2, 0], "re": 0.1, "im": 0.05},
+            ],
+        },
+    }
+    manufactured = tmp_path / "manufactured.json"
+    manufactured.write_text(json.dumps(config))
+    constant = tmp_path / "constant.json"
+    operator = {"type": "helmholtz", "preset": "constant_kappa", "kappa_sq": 25.0}
+    constant.write_text(json.dumps(dict(config, operator=operator)))
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    command = [
+        sys.executable, str(ROOT / "scripts" / "artifact_digests.py"),
+        str(manufactured), str(constant), "--seeds", "1", "7",
+    ]
+    runs = [
+        subprocess.run(
+            command, capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        for _ in range(2)
+    ]
+    assert [run.returncode for run in runs] == [0, 0], runs[0].stderr
+    assert runs[0].stdout == runs[1].stdout
+    lines = runs[0].stdout.splitlines()
+    names = [line.split("  ", 1)[1] for line in lines]
+    assert names[:5] == [
+        f"{manufactured}/1/{name}"
+        for name in ("basis.json", "report.json", "rank.json", "convergence.json", "convergence.csv")
+    ]
+    assert len(lines) == 2 * 5 + 2 * 3
+    assert all(re.fullmatch(r"[0-9a-f]{64}  \S+/[17]/\S+", line) for line in lines)
