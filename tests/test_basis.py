@@ -328,10 +328,10 @@ def hand_made_functions(draw, dim):
     size = space_dimension(dim, cap)
     vec = [complex(draw(parts), draw(parts)) for _ in range(size)]
     return GpwFunction(
-        center=tuple(draw(st.lists(parts, min_size=dim, max_size=dim))),
+        center=tuple(draw(parts) for _ in range(dim)),
         phase=GradedPoly.from_vector(dim, np.array(vec, dtype=complex)),
         degree=draw(st.integers(0, 9)),
-        direction=tuple(draw(st.lists(st.builds(complex, parts, parts), min_size=dim, max_size=dim))),
+        direction=tuple(complex(draw(parts), draw(parts)) for _ in range(dim)),
         operator=draw(st.text(max_size=12)),
         residual_norm=draw(parts),
     )
@@ -373,8 +373,9 @@ class TestFamilyText:
         vec = family[row].phase.vec.copy()
         col = np.flatnonzero(vec)[where % np.count_nonzero(vec)]
         vec[col] = complex(vec[col].real, bad) if imag else complex(bad, vec[col].imag)
-        family[row] = replace(family[row], phase=GradedPoly.from_vector(family[row].phase.dim, vec))
-        if norm is not None:  # a non-finite header number elsewhere: the encoder meets one first
+        phase = GradedPoly.from_vector(family[row].phase.dim, vec)
+        family[row] = replace(family[row], phase=phase)
+        if norm is not None:  # and a non-finite header number: the message is for the first met
             other = (row + where) % len(family)
             family[other] = replace(family[other], residual_norm=norm)
         expected = encoder_error(family)

@@ -228,7 +228,8 @@ class TestRecordsStack:
     @given(st.data(), st.integers(1, 3))
     def test_one_list_equals_the_per_record_loop(self, data, dim):
         records = data.draw(record_lists(dim))
-        assert same_bits(GradedPoly.from_records(dim, records), from_records_reference(dim, records))
+        got = GradedPoly.from_records(dim, records)
+        assert same_bits(got, from_records_reference(dim, records))
 
     @given(st.data(), st.integers(1, 3))
     def test_each_row_equals_its_list_read_alone(self, data, dim):

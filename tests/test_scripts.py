@@ -70,9 +70,7 @@ def test_artifact_digests_repeat(tmp_path):
     assert runs[0].stdout == runs[1].stdout
     lines = runs[0].stdout.splitlines()
     names = [line.split("  ", 1)[1] for line in lines]
-    assert names[:5] == [
-        f"{manufactured}/1/{name}"
-        for name in ("basis.json", "report.json", "rank.json", "convergence.json", "convergence.csv")
-    ]
+    artifacts = ("basis.json", "report.json", "rank.json", "convergence.json", "convergence.csv")
+    assert names[:5] == [f"{manufactured}/1/{name}" for name in artifacts]
     assert len(lines) == 2 * 5 + 2 * 3
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S+/[17]/\S+", line) for line in lines)
