@@ -15,7 +15,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .basis import ExpPhase, GpwFunction, unit_sphere_directions
+from .basis import ExpPhase, GpwFunction, directions
 from .operators import CoefficientJet, helmholtz_image
 from .polycore import GradedPoly, space_dimension
 
@@ -155,28 +155,11 @@ def manufactured_helmholtz(
 # -- sampling ---------------------------------------------------------------
 
 
-def ring_points(
-    center: Sequence[float], radius: float, count: int, offset: float = 0.0
-) -> np.ndarray:
-    """(count, 2) array of equispaced points on a circle, the first at angle offset."""
-    angles = [2.0 * math.pi * (i + offset) / count for i in range(count)]
-    unit = np.array([(math.cos(a), math.sin(a)) for a in angles]).reshape(count, 2)
-    return np.asarray(center, dtype=float) + radius * unit
-
-
-def shell_points(center: Sequence[float], radius: float, count: int) -> np.ndarray:
-    """(count, 3) array of quasi-uniform points on a sphere."""
-    return np.asarray(center, dtype=float) + radius * np.array(unit_sphere_directions(count))
-
-
 def sphere_points(
     dim: int, center: Sequence[float], radius: float, count: int, offset: float = 0.0
 ) -> np.ndarray:
-    if dim == 2:
-        return ring_points(center, radius, count, offset)
-    if dim == 3:
-        return shell_points(center, radius, count)
-    raise ValueError(f"no sampling rule for dimension {dim}")
+    """(count, dim) array of points at ``radius`` about ``center``, along :func:`directions`."""
+    return np.asarray(center, dtype=float) + radius * np.array(directions(dim, count, offset))
 
 
 def fit_points(

@@ -32,14 +32,12 @@ class CertificateError(RuntimeError):
     """Raised when a built phase fails its truncated-operator certificate."""
 
 
-def unit_circle_directions(count: int) -> list[tuple[float, float]]:
-    """Equispaced unit vectors at angles 2*pi*l/count."""
+def unit_circle_directions(count: int, offset: float = 0.0) -> list[tuple[float, float]]:
+    """Equispaced unit vectors at angles 2*pi*(l + offset)/count."""
     if count < 1:
         raise ValueError("need at least one direction")
-    return [
-        (math.cos(2.0 * math.pi * step / count), math.sin(2.0 * math.pi * step / count))
-        for step in range(count)
-    ]
+    angles = [2.0 * math.pi * (step + offset) / count for step in range(count)]
+    return [(math.cos(angle), math.sin(angle)) for angle in angles]
 
 
 def unit_sphere_directions(count: int) -> list[tuple[float, float, float]]:
@@ -59,9 +57,10 @@ def unit_sphere_directions(count: int) -> list[tuple[float, float, float]]:
     return points
 
 
-def directions(dim: int, count: int) -> list[tuple[float, ...]]:
+def directions(dim: int, count: int, offset: float = 0.0) -> list[tuple[float, ...]]:
+    """The circle's directions turned by ``offset`` steps, or the sphere's spiral."""
     if dim == 2:
-        return unit_circle_directions(count)
+        return unit_circle_directions(count, offset)
     if dim == 3:
         return unit_sphere_directions(count)
     raise ValueError(f"no direction family for dimension {dim}")

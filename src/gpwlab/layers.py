@@ -21,7 +21,7 @@ from .polycore import (
     GradedPoly,
     HomogeneousPoly,
     MultiIndex,
-    derivative_table,
+    _basis,
     layer_dimension,
     monomials_of_degree,
     space_dimension,
@@ -151,18 +151,12 @@ def _layer_inverse(key: tuple, layer: int) -> tuple[np.ndarray, ...]:
     """
     dim, k, coeffs = key
     part = PrincipalPart2(dim, dict(coeffs), k)
-    rows = monomials_of_degree(dim, layer)
-    order = np.array(sorted(range(len(rows)), key=lambda r: rows[r][k]), dtype=np.int64)
-    target = {index: i for i, index in enumerate(monomials_of_degree(dim, layer + 2))}
-    positions = np.array(
-        [target[tuple(e + 2 if axis == k else e for axis, e in enumerate(rows[r]))] for r in order],
-        dtype=np.int64,
-    )
-    full = operator_matrix(part, layer + 2)
-    block = full[np.ix_(
-        space_dimension(dim, layer - 1) + order,
-        space_dimension(dim, layer + 1) + positions,
-    )]
+    start = space_dimension(dim, layer - 1)
+    rows = _basis(dim, layer).exponents[start:]
+    order = np.argsort(rows[:, k], kind="stable")
+    lifted = _basis(dim, layer + 2).rank(rows[order] + 2 * np.eye(dim, dtype=np.int64)[k])
+    block = operator_matrix(part, layer + 2)[np.ix_(start + order, lifted)]
+    positions = lifted - space_dimension(dim, layer + 1)
     inverse = np.zeros_like(block)
     identity = np.eye(len(rows), dtype=complex)
     for r in range(len(rows)):
@@ -173,15 +167,18 @@ def _layer_inverse(key: tuple, layer: int) -> tuple[np.ndarray, ...]:
     return order, positions, columns
 
 
+def _images(part: PrincipalPart2, degree: int, columns: np.ndarray) -> np.ndarray:
+    """Rows: the images under the principal part of the monomials of degree <= degree
+    at ``columns``, in the graded-lex basis of degree <= degree - 2."""
+    units = np.zeros((len(columns), space_dimension(part.dim, degree)), dtype=complex)
+    units[np.arange(len(columns)), columns] = 1
+    return part.apply(GradedPoly.from_vector(part.dim, units)).vec
+
+
 def operator_matrix(part: PrincipalPart2, degree: int) -> np.ndarray:
     """Matrix of the principal part from degree <= degree to degree <= degree - 2,
     in graded-lex monomial bases."""
-    rows = space_dimension(part.dim, degree - 2)
-    matrix = np.zeros((rows, space_dimension(part.dim, degree)), dtype=complex)
-    for index, value in sorted(part.coeffs.items()):
-        source, factor = derivative_table(part.dim, degree, index)
-        matrix[np.arange(rows), source] += value * factor
-    return matrix
+    return _images(part, degree, np.arange(space_dimension(part.dim, degree))).T
 
 
 def kernel_dimension(part: PrincipalPart2, degree: int, tol: float = 1e-10) -> int:

@@ -25,12 +25,17 @@ Evaluation of a stack gives one column per row; records are written for
 single polynomials and read back for a whole stack at once
 (:func:`records_stack`), and a stack never equals a single polynomial.
 
+Sparse input has one constructor: ``GradedPoly(dim, {exponents: value})``,
+``HomogeneousPoly`` and :func:`records_stack` all place their terms with
+:func:`_scatter`, under one exponent rule, so equal terms give equal bits.
+
 The kernels are gathers over index tables that depend only on the
 dimension and the degrees involved.  Each table is built once, with numpy,
 and cached:
 
-* per ``(dim, cap)``: the exponent array, the degree of each entry and a
-  rank map from exponents to positions;
+* per ``(dim, cap)``: the one table of monomials, which every other table
+  and :func:`monomials_up_to` read: the exponent array, the degree of each
+  entry and a rank from exponents to positions, a direct index by key;
 * per ``(dim, cap_a, cap_b, bound)``: the term pairs ``(ia, ib)`` of a
   truncated product whose degrees sum to at most the bound, and the
   position of each pair's product.  A product is ``a[ia] * b[ib]`` reduced
@@ -49,12 +54,11 @@ polynomials are safe to share across concurrent tasks.
 from __future__ import annotations
 
 import math
-import operator
 import reprlib
 from functools import lru_cache
 from itertools import chain
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence, Sized
 
 import numpy as np
 
@@ -65,23 +69,14 @@ MultiIndex = tuple[int, ...]
 Scalar = complex | float | int
 
 
+def monomials_up_to(dim: int, degree: int) -> list[MultiIndex]:
+    """All exponent tuples of total degree <= degree, graded-lex ordered."""
+    return list(_basis(dim, degree).monomials)
+
+
 def monomials_of_degree(dim: int, degree: int) -> list[MultiIndex]:
     """All exponent tuples of one total degree, graded-lex ordered."""
-    if degree < 0:
-        return []
-    if dim == 1:
-        return [(degree,)]
-    out: list[MultiIndex] = []
-    for first in range(degree + 1):
-        out.extend((first,) + rest for rest in monomials_of_degree(dim - 1, degree - first))
-    return out
-
-
-def monomials_up_to(dim: int, degree: int) -> list[MultiIndex]:
-    out: list[MultiIndex] = []
-    for n in range(degree + 1):
-        out.extend(monomials_of_degree(dim, n))
-    return out
+    return list(_basis(dim, degree).monomials[space_dimension(dim, degree - 1):])
 
 
 def space_dimension(dim: int, degree: int) -> int:
@@ -96,21 +91,6 @@ def layer_dimension(dim: int, degree: int) -> int:
     if degree < 0:
         return 0
     return math.comb(degree + dim - 1, dim - 1)
-
-
-def _clean(dim: int, coeffs: Mapping[MultiIndex, Scalar]) -> dict[MultiIndex, complex]:
-    clean: dict[MultiIndex, complex] = {}
-    for index, value in coeffs.items():
-        try:
-            index = tuple(operator.index(e) for e in index)
-        except TypeError as err:
-            raise ValueError(f"bad exponent tuple {index!r}") from err
-        if len(index) != dim or any(e < 0 for e in index):
-            raise ValueError(f"bad exponent tuple {index!r} for dimension {dim}")
-        value = complex(value)
-        if value != 0:
-            clean[index] = value
-    return clean
 
 
 # -- cached index tables ---------------------------------------------------
@@ -131,33 +111,33 @@ class _Basis(NamedTuple):
     """The graded-lex monomials of degree <= cap in one dimension."""
 
     monomials: tuple[MultiIndex, ...]
-    position: Mapping[MultiIndex, int]
     exponents: np.ndarray  # (size, dim)
     degrees: np.ndarray  # (size,)
     radix: np.ndarray  # mixed-radix weights: every exponent is <= cap
-    sorted_keys: np.ndarray
-    key_order: np.ndarray
+    lookup: np.ndarray  # position by mixed-radix key; -1 above degree cap
 
     def rank(self, exponents: np.ndarray) -> np.ndarray:
         """Positions of exponent rows, each of total degree <= cap."""
-        return self.key_order[np.searchsorted(self.sorted_keys, exponents @ self.radix)]
+        return self.lookup[exponents @ self.radix]
 
 
 @lru_cache(maxsize=None)
 def _basis(dim: int, cap: int) -> _Basis:
-    monomials = tuple(monomials_up_to(dim, cap))
-    exponents = np.array(monomials, dtype=np.int64).reshape(len(monomials), dim)
-    radix = (max(cap, 0) + 1) ** np.arange(dim, dtype=np.int64)
-    keys = exponents @ radix
-    order = np.argsort(keys)
+    """The one enumeration of monomials: tuples of entries <= cap, graded-lex."""
+    side = max(cap, 0) + 1
+    grid = np.indices((side,) * dim, dtype=np.int64).reshape(dim, -1).T  # row k has key k
+    degrees = grid.sum(axis=1)
+    keep = np.flatnonzero(degrees <= cap)
+    keys = keep[np.argsort(degrees[keep], kind="stable")]
+    lookup = np.full(len(grid), -1, dtype=np.int64)
+    lookup[keys] = np.arange(len(keys))
+    exponents = grid[keys]
     return _Basis(
-        monomials,
-        MappingProxyType({index: i for i, index in enumerate(monomials)}),
+        tuple(map(tuple, exponents.tolist())),
         _frozen(exponents),
-        _frozen(exponents.sum(axis=1)),
-        _frozen(radix),
-        _frozen(keys[order]),
-        _frozen(order),
+        _frozen(degrees[keys]),
+        _frozen(side ** np.arange(dim - 1, -1, -1, dtype=np.int64)),
+        _frozen(lookup),
     )
 
 
@@ -171,7 +151,7 @@ def _product_table(dim: int, cap_a: int, cap_b: int, top: int) -> tuple[np.ndarr
 
 
 @lru_cache(maxsize=None)
-def derivative_table(dim: int, cap: int, index: MultiIndex) -> tuple[np.ndarray, np.ndarray]:
+def _derivative_table(dim: int, cap: int, index: MultiIndex) -> tuple[np.ndarray, np.ndarray]:
     """Gather table of D^index from degree <= cap to degree <= cap - |index|.
 
     Coefficient i of the derivative is ``factor[i] * vec[source[i]]``;
@@ -361,20 +341,15 @@ class HomogeneousPoly(_Poly):
     __slots__ = ("degree",)
 
     def __init__(self, dim: int, degree: int, coeffs: Mapping[MultiIndex, Scalar]) -> None:
-        if dim < 1:
-            raise ValueError("dimension must be at least 1")
+        """Layer of the terms ``{exponents: value}``, all non-zero ones of this degree."""
         if degree < 0:
             raise ValueError("degree must be non-negative")
-        offset = space_dimension(dim, degree - 1)
-        position = _basis(dim, degree).position
-        vec = np.zeros(layer_dimension(dim, degree), dtype=complex)
-        for index, value in _clean(dim, coeffs).items():
-            if sum(index) != degree:
-                raise ValueError(
-                    f"exponent {index} has degree {sum(index)}, expected {degree}"
-                )
-            vec[position[index] - offset] = value
-        self.__post_init__(dim, degree, vec)
+        poly = GradedPoly(dim, coeffs)
+        off = np.flatnonzero((poly.vec != 0) & (_basis(dim, poly.cap).degrees != degree))
+        if off.size:
+            index = poly._monomials()[off[0]]
+            raise ValueError(f"exponent {index} has degree {sum(index)}, expected {degree}")
+        self.__post_init__(dim, degree, poly.layer(degree).vec)
 
     def __post_init__(self, dim: int, degree: int, vec: np.ndarray) -> None:
         """Every constructor ends here: store the fields, make the vector read-only."""
@@ -386,7 +361,9 @@ class HomogeneousPoly(_Poly):
 
     @classmethod
     def zero(cls, dim: int, degree: int) -> "HomogeneousPoly":
-        return cls(dim, degree, {})
+        if dim < 1 or degree < 0:
+            raise ValueError("need dimension >= 1 and degree >= 0")
+        return _homogeneous(dim, degree, np.zeros(layer_dimension(dim, degree), dtype=complex))
 
     @classmethod
     def from_vector(cls, dim: int, degree: int, vec: Sequence[Scalar]) -> "HomogeneousPoly":
@@ -410,9 +387,13 @@ class HomogeneousPoly(_Poly):
     def _monomials(self) -> Sequence[MultiIndex]:
         return _basis(self.dim, self.degree).monomials[space_dimension(self.dim, self.degree - 1):]
 
-    def _check_layer(self, other: "HomogeneousPoly") -> None:
+    def _combine(self, other: "HomogeneousPoly", op: np.ufunc) -> "HomogeneousPoly":
+        """``op`` of the two coefficient vectors of layers of one dimension and degree."""
+        if not isinstance(other, HomogeneousPoly):
+            return NotImplemented
         if other.dim != self.dim or other.degree != self.degree:
             raise ValueError("layers must share dimension and degree")
+        return _homogeneous(self.dim, self.degree, op(self.vec, other.vec))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HomogeneousPoly):
@@ -424,16 +405,10 @@ class HomogeneousPoly(_Poly):
         )
 
     def __add__(self, other: "HomogeneousPoly") -> "HomogeneousPoly":
-        if not isinstance(other, HomogeneousPoly):
-            return NotImplemented
-        self._check_layer(other)
-        return _homogeneous(self.dim, self.degree, self.vec + other.vec)
+        return self._combine(other, np.add)
 
     def __sub__(self, other: "HomogeneousPoly") -> "HomogeneousPoly":
-        if not isinstance(other, HomogeneousPoly):
-            return NotImplemented
-        self._check_layer(other)
-        return _homogeneous(self.dim, self.degree, self.vec - other.vec)
+        return self._combine(other, np.subtract)
 
     def scaled(self, factor: "Scalar | np.ndarray") -> "HomogeneousPoly":
         return _homogeneous(self.dim, self.degree, _scale(self.vec, factor))
@@ -454,15 +429,10 @@ class GradedPoly(_Poly):
     __slots__ = ("cap",)
 
     def __init__(self, dim: int, coeffs: Mapping[MultiIndex, Scalar]) -> None:
-        if dim < 1:
-            raise ValueError("dimension must be at least 1")
-        clean = _clean(dim, coeffs)
-        cap = max(map(sum, clean), default=-1)
-        position = _basis(dim, cap).position
-        vec = np.zeros(space_dimension(dim, cap), dtype=complex)
-        for index, value in clean.items():
-            vec[position[index]] = value
-        self.__post_init__(dim, cap, vec)
+        """Polynomial of the terms ``{exponents: value}``, read by :func:`_scatter`."""
+        values = np.fromiter(map(complex, coeffs.values()), complex, len(coeffs))
+        vec, caps = _scatter(dim, list(coeffs), values, [len(coeffs)], None)
+        self.__post_init__(dim, int(caps[0]), vec[0])
 
     def __post_init__(self, dim: int, cap: int, vec: np.ndarray) -> None:
         """Every constructor ends here: store the fields, make the vector read-only."""
@@ -482,7 +452,8 @@ class GradedPoly(_Poly):
 
     @classmethod
     def constant(cls, dim: int, value: Scalar) -> "GradedPoly":
-        return cls(dim, {(0,) * dim: complex(value)})
+        zero, value = cls.zero(dim), complex(value)
+        return zero if value == 0 else _graded(dim, 0, np.array([value]))
 
     @classmethod
     def variable(cls, dim: int, axis: int) -> "GradedPoly":
@@ -555,23 +526,21 @@ class GradedPoly(_Poly):
         size = short.shape[-1]
         return bool(np.array_equal(long[..., :size], short) and not long[..., size:].any())
 
-    def __add__(self, other: "GradedPoly") -> "GradedPoly":
+    def _combine(self, other: "GradedPoly", op: np.ufunc) -> "GradedPoly":
+        """``op`` of the two coefficient vectors, padded to the larger cap."""
         if not isinstance(other, GradedPoly):
             return NotImplemented
         if other.dim != self.dim:
             raise ValueError("dimension mismatch")
         cap = max(self.cap, other.cap)
         size = space_dimension(self.dim, cap)
-        return _graded(self.dim, cap, _padded(self.vec, size) + _padded(other.vec, size))
+        return _graded(self.dim, cap, op(_padded(self.vec, size), _padded(other.vec, size)))
+
+    def __add__(self, other: "GradedPoly") -> "GradedPoly":
+        return self._combine(other, np.add)
 
     def __sub__(self, other: "GradedPoly") -> "GradedPoly":
-        if not isinstance(other, GradedPoly):
-            return NotImplemented
-        if other.dim != self.dim:
-            raise ValueError("dimension mismatch")
-        cap = max(self.cap, other.cap)
-        size = space_dimension(self.dim, cap)
-        return _graded(self.dim, cap, _padded(self.vec, size) - _padded(other.vec, size))
+        return self._combine(other, np.subtract)
 
     def scaled(self, factor: "Scalar | np.ndarray") -> "GradedPoly":
         """Times a scalar; an ``(n,)`` array scales row i of an n-row stack by its entry i."""
@@ -617,10 +586,6 @@ class GradedPoly(_Poly):
         start = space_dimension(self.dim, degree - 1)
         return _homogeneous(self.dim, degree, self.vec[..., start: start + size])
 
-    def layers(self) -> Iterator[HomogeneousPoly]:
-        for n in range(self.degree + 1):
-            yield self.layer(n)
-
     # -- calculus -----------------------------------------------------
 
     def derive(self, index: MultiIndex) -> "GradedPoly":
@@ -633,7 +598,7 @@ class GradedPoly(_Poly):
         cap = self.cap - sum(index)
         if cap < 0:
             return _graded(self.dim, -1, _zeros(self.vec))
-        source, factor = derivative_table(self.dim, self.cap, index)
+        source, factor = _derivative_table(self.dim, self.cap, index)
         return _graded(self.dim, cap, _gather(self.vec, source) * factor)
 
     def partial(self, axis: int) -> "GradedPoly":
@@ -706,17 +671,9 @@ def records_stack(
 ) -> tuple[GradedPoly, np.ndarray]:
     """Stack of the polynomials given as record lists, one row per list, and each row's cap.
 
-    This reads :meth:`GradedPoly.to_records` back for every row at once.
-    Exponents follow :func:`~gpwlab.serialize.integer` and parts
-    :func:`~gpwlab.serialize.real`, checked for all records at once.  With a
-    ``bound``, a record of higher total degree is refused before any storage
-    is sized.  A monomial's first record is assigned and repeats add in
-    record order; signed zeros survive in both parts, and a sum equal to
-    zero is stored as +0.  Each row's cap is that of its highest non-zero
-    term, as :class:`GradedPoly` gives; the stack's cap is the highest of them.
+    This reads :meth:`GradedPoly.to_records` back for every row at once:
+    parts by :func:`~gpwlab.serialize.real`, terms by :func:`_scatter`.
     """
-    if dim < 1:
-        raise ValueError("dimension must be at least 1")
     lists = [list(row) for row in lists]
     records = [record for row in lists for record in row]
     if not set(map(type, records)) <= {dict}:
@@ -724,10 +681,36 @@ def records_stack(
             if not isinstance(record, Mapping):
                 raise TypeError(f"a record must be an object, got {reprlib.repr(record)}")
     exponents = [record["exponents"] for record in records]
-    if not set(map(len, exponents)) <= {dim}:
-        index = next(index for index in exponents if len(index) != dim)
+    re = reals([record["re"] for record in records], "re")
+    values = np.column_stack([re, reals([record["im"] for record in records], "im")])
+    counts = [len(row) for row in lists]
+    vec, caps = _scatter(dim, exponents, values.view(complex)[:, 0], counts, bound)
+    return _graded(dim, int(caps.max(initial=-1)), vec), caps
+
+
+def _scatter(
+    dim: int, exponents: list, values: np.ndarray, counts: Sequence[int], bound: int | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The one sparse constructor: coefficient rows, row i of the next ``counts[i]`` terms.
+
+    Exponents follow :func:`~gpwlab.serialize.integers`, checked all at once;
+    a negative entry, a scalar or a tuple of another length is refused, and a
+    term above ``bound`` is refused before any storage is sized.  A
+    monomial's first term is assigned and repeats add in term order; signed
+    zeros survive, and a zero sum is stored as +0.  Each row's cap is that of
+    its highest non-zero term; returns the rows, cut to the highest cap, and
+    the caps.
+    """
+    if dim < 1:
+        raise ValueError("dimension must be at least 1")
+    try:
+        fits = set(map(len, exponents)) <= {dim}
+    except TypeError:
+        fits = False
+    if not fits:
+        index = next(i for i in exponents if not isinstance(i, Sized) or len(i) != dim)
         raise ValueError(f"bad exponent tuple {reprlib.repr(index)} for dimension {dim}")
-    flat = integers(list(chain.from_iterable(exponents)), "exponent").reshape(len(records), dim)
+    flat = integers(list(chain.from_iterable(exponents)), "exponent").reshape(len(exponents), dim)
     negative = (flat < 0).any(axis=1)
     if negative.any():
         index = exponents[int(np.argmax(negative))]
@@ -737,23 +720,18 @@ def records_stack(
     if bound is not None and degree > bound:
         raise ValueError(f"a record of degree {degree:.0f} exceeds the degree bound {bound}")
     cap = int(degree)
-    pairs = np.empty((len(records), 2))
-    pairs[:, 0] = reals([record["re"] for record in records], "re")
-    pairs[:, 1] = reals([record["im"] for record in records], "im")
-    values = pairs.view(complex)[:, 0]
 
     size = space_dimension(dim, cap)
-    rows = np.repeat(np.arange(len(lists)), [len(row) for row in lists])
+    rows = np.repeat(np.arange(len(counts)), counts)
     keys = rows * size + _basis(dim, cap).rank(flat.astype(np.int64))
     first = np.unique(keys, return_index=True)[1]
-    out = np.zeros(len(lists) * size, dtype=complex)
+    out = np.zeros(len(counts) * size, dtype=complex)
     out[keys[first]] = values[first]
     repeat = np.ones(len(keys), dtype=bool)
     repeat[first] = False
     np.add.at(out, keys[repeat], values[repeat])
     out[out == 0] = 0
-    vec = out.reshape(len(lists), size)
+    vec = out.reshape(len(counts), size)
     caps = np.where(vec != 0, _basis(dim, cap).degrees, -1).max(axis=1, initial=-1)
     top = int(caps.max(initial=-1))
-    vec = np.ascontiguousarray(vec[:, : space_dimension(dim, top)])
-    return _graded(dim, top, vec), caps
+    return np.ascontiguousarray(vec[:, : space_dimension(dim, top)]), caps

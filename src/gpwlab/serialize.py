@@ -12,7 +12,9 @@ own output, so its bytes are still exactly ``json_text`` of the records.
 Numbers read back from a JSON file go through :func:`integer` and
 :func:`real`, which take JSON numbers only: never a bool, a string or a
 truncated float.  :func:`integers` and :func:`reals` apply the same rules
-to a whole list at once, for the phase records of a basis file.
+to a whole list at once, for the phase records of a basis file and for the
+exponents of every sparse polynomial; :func:`integer` also takes numpy
+integers, which a library caller may pass and JSON never yields.
 """
 from __future__ import annotations
 
@@ -25,8 +27,9 @@ import numpy as np
 
 
 def integer(value, name: str) -> int:
-    """An int, or a float with an integral value; never a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or value != int(value):
+    """An int, a numpy integer, or a float with an integral value; never a bool."""
+    number = isinstance(value, (int, float, np.integer)) and not isinstance(value, bool)
+    if not number or value != int(value):
         raise ValueError(f"{name} must be an integer, got {reprlib.repr(value)}")
     return int(value)
 

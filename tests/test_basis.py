@@ -16,6 +16,7 @@ from gpwlab.basis import (
     build_family,
     build_gpw,
     certificate_norm,
+    directions,
     family_from_records,
     family_text,
     family_to_records,
@@ -54,6 +55,17 @@ class TestCircleDirections:
     def test_needs_positive_count(self):
         with pytest.raises(ValueError):
             unit_circle_directions(0)
+
+    @pytest.mark.parametrize("offset", [0.0, 0.25, 0.37, 0.5])
+    def test_offset_turns_the_circle_bit_for_bit(self, offset):
+        for count in (1, 5, 28):
+            angles = [2.0 * math.pi * (i + offset) / count for i in range(count)]
+            want = [(math.cos(a), math.sin(a)) for a in angles]
+            assert unit_circle_directions(count, offset) == want
+            assert directions(2, count, offset) == want
+        steps = [2.0 * math.pi * i / 7 for i in range(7)]
+        assert unit_circle_directions(7) == [(math.cos(a), math.sin(a)) for a in steps]
+        assert directions(3, 9, offset) == unit_sphere_directions(9)
 
 
 class TestSphereDirections:

@@ -10,7 +10,13 @@ from gpwlab.layers import (
     solve_layer,
     split_layer,
 )
-from gpwlab.polycore import HomogeneousPoly, layer_dimension
+from gpwlab.polycore import (
+    HomogeneousPoly,
+    _derivative_table,
+    layer_dimension,
+    monomials_of_degree,
+    space_dimension,
+)
 
 
 def laplace2():
@@ -168,3 +174,56 @@ class TestKernelOracle:
         for p in range(2, 7):
             free = 3 + sum(len(split_layer(part, n).free) for n in range(p - 1))
             assert free == kernel_dimension(part, p) == 2 * p + 1
+
+
+def operator_matrix_reference(part, degree):
+    """The per-derivative assembly that the identity-stack image replaced, kept as its oracle."""
+    rows = space_dimension(part.dim, degree - 2)
+    matrix = np.zeros((rows, space_dimension(part.dim, degree)), dtype=complex)
+    for index, value in sorted(part.coeffs.items()):
+        source, factor = _derivative_table(part.dim, degree, index)
+        matrix[np.arange(rows), source] += value * factor
+    return matrix
+
+
+def layer_rows_reference(part, layer):
+    """Row order and solvable positions of a layer inverse from tuple lists and a dict."""
+    k = part.pivot
+    rows = monomials_of_degree(part.dim, layer)
+    order = sorted(range(len(rows)), key=lambda r: rows[r][k])
+    target = {index: i for i, index in enumerate(monomials_of_degree(part.dim, layer + 2))}
+    lifted = [tuple(e + 2 if axis == k else e for axis, e in enumerate(rows[r])) for r in order]
+    return order, [target[index] for index in lifted]
+
+
+PARTS = {
+    "laplace-2d": lambda: laplace2(),
+    "laplace-3d": lambda: PrincipalPart2.laplace(3),
+    "convected-2d": lambda: convected_part(2, 1.3 + 0.2j, [0.3 - 0.1j, -0.2 + 0.05j]),
+    "convected-3d": lambda: convected_part(3, 0.9 - 0.1j, [0.2 + 0.1j, -0.3, 0.1 - 0.2j]),
+    "pivot-1": lambda: PrincipalPart2.build(2, {(2, 0): 1.0, (1, 1): 0.5j, (0, 2): -3.0}),
+}
+
+
+class TestPrincipalMatrixMatchesReference:
+    @pytest.mark.parametrize("name", sorted(PARTS))
+    def test_operator_matrix_bit_for_bit(self, name):
+        part = PARTS[name]()
+        for degree in range(-1, 9):
+            got, want = operator_matrix(part, degree), operator_matrix_reference(part, degree)
+            assert got.shape == want.shape and got.tobytes() == np.ascontiguousarray(want).tobytes()
+            if degree >= 2:
+                assert kernel_dimension(part, degree) == want.shape[1] - np.linalg.matrix_rank(want)
+
+    @pytest.mark.parametrize("name", sorted(PARTS))
+    def test_layer_rows_and_block(self, name):
+        part = PARTS[name]()
+        for layer in range(7):
+            order, positions, columns = layers._layer_inverse(part._key, layer)
+            want_order, want_positions = layer_rows_reference(part, layer)
+            assert order.tolist() == want_order and positions.tolist() == want_positions
+            start, lifted = space_dimension(part.dim, layer - 1), space_dimension(part.dim, layer + 1)
+            block = operator_matrix_reference(part, layer + 2)[
+                np.ix_(start + order, lifted + positions)
+            ]
+            assert np.allclose(block @ columns.T, np.eye(len(order)), atol=1e-12)

@@ -6,13 +6,14 @@ from hypothesis import strategies as st
 from gpwlab.polycore import (
     GradedPoly,
     HomogeneousPoly,
+    _basis,
     layer_dimension,
     monomials_of_degree,
     monomials_up_to,
     records_stack,
     space_dimension,
 )
-from gpwlab.serialize import integer, real
+from gpwlab.serialize import integer, integers, real
 
 from conftest import finite_coeffs, graded_polys, random_points
 
@@ -155,6 +156,98 @@ class TestCombinatorics:
         assert monos[0] == (0, 0)
 
 
+def monomials_of_degree_reference(dim, degree):
+    """The recursive enumeration that the numpy table replaced, kept as its oracle."""
+    if degree < 0:
+        return []
+    if dim == 1:
+        return [(degree,)]
+    return [
+        (first,) + rest
+        for first in range(degree + 1)
+        for rest in monomials_of_degree_reference(dim - 1, degree - first)
+    ]
+
+
+class TestMonomialTable:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    @pytest.mark.parametrize("cap", range(-1, 11))
+    def test_table_equals_the_recursive_enumeration(self, dim, cap):
+        reference = [j for n in range(cap + 1) for j in monomials_of_degree_reference(dim, n)]
+        table = _basis(dim, cap)
+        assert list(table.monomials) == monomials_up_to(dim, cap) == reference
+        assert table.exponents.shape == (len(reference), dim)
+        assert table.exponents.tolist() == [list(j) for j in reference]
+        assert table.degrees.tolist() == [sum(j) for j in reference]
+        assert table.rank(table.exponents).tolist() == list(range(len(reference)))
+        for n in range(-1, cap + 1):
+            assert monomials_of_degree(dim, n) == monomials_of_degree_reference(dim, n)
+
+    def test_tables_are_read_only(self):
+        table = _basis(2, 3)
+        for array in (table.exponents, table.degrees, table.radix, table.lookup):
+            with pytest.raises(ValueError):
+                array[0] = 1
+
+
+class TestExponentRule:
+    """One rule for dict constructors and records: ints, integral floats, numpy integers."""
+
+    def test_numpy_integers_and_integral_floats_are_accepted(self):
+        want = GradedPoly(2, {(1, 2): 1.5, (0, 0): 2j})
+        for key in [(np.int64(1), np.int32(2)), (np.uint8(1), 2), (1.0, 2.0), (np.float64(1), 2)]:
+            got = GradedPoly(2, {key: 1.5, (0, 0): 2j})
+            assert same_bits(got, want)
+        assert integer(np.int64(3), "n") == 3 and type(integer(np.int16(3), "n")) is int
+        assert integers([np.int64(2), 1, 4.0], "n").tolist() == [2.0, 1.0, 4.0]
+
+    @pytest.mark.parametrize(
+        "key",
+        [5, (True, 0), (np.True_, 0), (1.5, 0), (-1, 2), (1, 0, 0), (1,), "ab", ((1,), 0)],
+        ids=["scalar", "bool", "numpy-bool", "fraction", "negative", "long", "short", "string",
+             "nested"],
+    )
+    def test_refused_with_value_error(self, key):
+        with pytest.raises(ValueError):
+            GradedPoly(2, {key: 1.0})
+        with pytest.raises(ValueError):
+            HomogeneousPoly(2, 1, {key: 1.0})
+
+    def test_scalar_key_is_named(self):
+        with pytest.raises(ValueError, match="bad exponent tuple 5 for dimension 2"):
+            GradedPoly(2, {5: 1.0})
+
+    def test_numpy_bools_are_refused_by_the_number_rules(self):
+        for value in (np.True_, np.False_, True):
+            with pytest.raises(ValueError):
+                integer(value, "n")
+            with pytest.raises(ValueError):
+                integers([1, value], "n")
+
+    def test_homogeneous_names_the_first_off_degree_exponent(self):
+        with pytest.raises(ValueError, match=r"exponent \(0, 1\) has degree 1, expected 2"):
+            HomogeneousPoly(2, 2, {(1, 1): 1.0, (0, 1): 2.0, (3, 0): 1.0})
+        with pytest.raises(ValueError, match=r"exponent \(3, 0\) has degree 3, expected 2"):
+            HomogeneousPoly(2, 2, {(1, 1): 1.0, (3, 0): 1.0})
+
+    def test_homogeneous_ignores_zero_terms_of_other_degrees(self):
+        layer = HomogeneousPoly(2, 2, {(1, 0): 0.0, (2, 0): 1.0, (5, 0): -0.0})
+        assert layer.vec.tolist() == [0j, 0j, 1 + 0j]
+
+    @pytest.mark.parametrize("value", [0, 0.0, -0.0, complex(0.0, -0.0), 1.5, complex(-0.0, 2.0)])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_direct_constructors_equal_the_sparse_one(self, dim, value):
+        assert same_bits(GradedPoly.constant(dim, value), GradedPoly(dim, {(0,) * dim: value}))
+        for degree in range(4):
+            zero = HomogeneousPoly.zero(dim, degree)
+            assert zero == HomogeneousPoly(dim, degree, {})
+            assert zero.vec.tobytes() == HomogeneousPoly(dim, degree, {}).vec.tobytes()
+        with pytest.raises(ValueError):
+            GradedPoly.constant(0, value)
+        with pytest.raises(ValueError):
+            HomogeneousPoly.zero(dim, -1)
+
+
 class TestHomogeneous:
     def test_degree_enforced(self):
         with pytest.raises(ValueError):
@@ -267,9 +360,10 @@ class TestRecordsStack:
             {"exponents": [1, 0], "re": 1.0, "im": None},
             {"exponents": [1, 0], "re": 1.0},
             [[1, 0], 1.0, 0.0],
+            {"exponents": 5, "re": 1.0, "im": 0.0},
         ],
         ids=["bool", "fraction", "negative", "length", "string-exponents", "string-re",
-             "null-im", "missing-im", "list-record"],
+             "null-im", "missing-im", "list-record", "scalar-exponents"],
     )
     def test_refuses_what_the_per_record_loop_refuses(self, record):
         records = [{"exponents": [0, 0], "re": 1.0, "im": 0.0}, record]
@@ -283,6 +377,28 @@ class TestRecordsStack:
         records = [{"exponents": [exponent, exponent], "re": 0.0, "im": 0.0}]
         with pytest.raises(ValueError, match="exceeds the degree bound 3"):
             GradedPoly.from_records(2, records, bound=3)
+
+    @given(st.data(), st.integers(1, 3))
+    def test_dict_constructor_equals_records(self, data, dim):
+        part = st.sampled_from([0.0, -0.0, 1.0, -2.5]) | st.floats(-3.0, 3.0)
+        terms = data.draw(st.dictionaries(
+            st.sampled_from(monomials_up_to(dim, 6)), st.builds(complex, part, part), max_size=6
+        ))
+        if data.draw(st.booleans()):  # a zero term above every other degree
+            terms[(0,) * (dim - 1) + (7,)] = complex(data.draw(part.filter(lambda x: x == 0)), -0.0)
+        records = [{"exponents": list(j), "re": v.real, "im": v.imag} for j, v in terms.items()]
+        got = GradedPoly(dim, terms)
+        stack, caps = records_stack(dim, [records, records])
+        assert same_bits(got, GradedPoly.from_records(dim, records))
+        assert caps.tolist() == [got.cap] * 2 and stack.cap == got.cap
+        assert all(row.vec.tobytes() == got.vec.tobytes() for row in stack.rows())
+
+    def test_zero_terms_are_stored_as_positive_zero(self):
+        terms = {(1, 0): complex(-0.0, -0.0), (0, 1): complex(-0.0, 1.0), (2, 0): 1.0}
+        records = [{"exponents": list(j), "re": v.real, "im": v.imag} for j, v in terms.items()]
+        for got in (GradedPoly(2, terms), GradedPoly.from_records(2, records)):
+            assert got.vec.tolist() == [0j, 1j, 0j, 0j, 0j, 1 + 0j]
+            assert np.signbit(got.vec.view(float)).tolist() == [False] * 2 + [True] + [False] * 9
 
     def test_no_lists_and_empty_lists(self):
         stack, caps = records_stack(2, [])
