@@ -11,13 +11,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .basis import ExpPhase, GpwFunction, directions
 from .operators import CoefficientJet, helmholtz_image
-from .polycore import GradedPoly, space_dimension
+from .polycore import GradedPoly, evaluate_each, space_dimension
 
 
 # -- Taylor truncations and ranks -----------------------------------------
@@ -155,11 +156,19 @@ def manufactured_helmholtz(
 # -- sampling ---------------------------------------------------------------
 
 
+@lru_cache(maxsize=64)
+def _unit_directions(dim: int, count: int, offset: float) -> np.ndarray:
+    """Read-only (count, dim) array of :func:`directions`, built once per argument triple."""
+    array = np.array(directions(dim, count, offset))
+    array.setflags(write=False)
+    return array
+
+
 def sphere_points(
     dim: int, center: Sequence[float], radius: float, count: int, offset: float = 0.0
 ) -> np.ndarray:
     """(count, dim) array of points at ``radius`` about ``center``, along :func:`directions`."""
-    return np.asarray(center, dtype=float) + radius * np.array(directions(dim, count, offset))
+    return np.asarray(center, dtype=float) + radius * _unit_directions(dim, count, offset)
 
 
 def fit_points(
@@ -198,18 +207,31 @@ def _sample(
     return np.array([field(x) for x in points], dtype=complex)
 
 
-def _family_matrix(family: Sequence[GpwFunction], points: np.ndarray) -> np.ndarray:
-    """Rows: points; columns: family members, from one Vandermonde matrix.
+def _fit_values(
+    solution: Callable[[Sequence[float]], complex],
+    family: Sequence[GpwFunction],
+    points: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The family matrix (rows: points; columns: members) and the solution's values.
 
-    Each column has the bits of ``phi.values(points)`` when the phases share
-    a degree cap, as the rows of a built family do; a lower cap is padded
-    with zeros, whose longer sums may round differently.
+    The stacked phases, and the phase of an ``ExpPhase`` solution about the
+    family's center, are evaluated from one Vandermonde matrix; any other
+    solution is sampled by :func:`_sample`.  The solution's values have the
+    bits of its own ``values``, and each column those of
+    ``phi.values(points)`` when the phases share a degree cap, as the rows
+    of a built family do (a lower cap is padded with zeros, whose longer
+    sums may round differently).
     """
     center = family[0].center
     if any(phi.center != center for phi in family):
         raise ValueError("family members must share one center")
-    phases = GradedPoly.stack([phi.phase for phi in family])
-    return np.exp(phases.evaluate_many(np.asarray(points, dtype=float) - center))
+    phases = [GradedPoly.stack([phi.phase for phi in family])]
+    shared = isinstance(solution, ExpPhase) and solution.center == center
+    if shared:
+        phases.append(solution.phase)
+    offsets = np.asarray(points, dtype=float) - center
+    values = [np.exp(v) for v in evaluate_each(phases, offsets)]
+    return values[0], values[1] if shared else _sample(solution, points)
 
 
 @dataclass(frozen=True)
@@ -231,10 +253,11 @@ def family_fit_error(
     The fit minimizes the discrete l2 misfit on the fit grid with
     truncated-SVD regularization; the reported error is the sup over a
     roughly ten-times denser ball sample, so it upper-bounds the best
-    achievable sup-norm error of the family on that ball.  The family and,
-    when it has a ``values(points)`` method (``GpwFunction``,
-    ``ManufacturedProblem.solution``), the solution are evaluated one batch
-    per point set.
+    achievable sup-norm error of the family on that ball.  An ``ExpPhase``
+    solution about the family's center (``ManufacturedProblem.solution``)
+    is evaluated with the family from one Vandermonde matrix per point set,
+    with the bits of its own ``values``; any other callable is sampled by
+    :func:`_sample`, one batch when it has ``values(points)``.
     """
     if not family:
         raise ValueError("family is empty")
@@ -243,8 +266,7 @@ def family_fit_error(
     dim = family[0].phase.dim
     center = family[0].center
     grid = fit_points(dim, center, radius, len(family))
-    matrix = _family_matrix(family, grid)
-    values = _sample(solution, grid)
+    matrix, values = _fit_values(solution, family, grid)
     left, singulars, right_h = np.linalg.svd(matrix, full_matrices=False)
     if singulars.size == 0 or singulars[0] == 0:
         raise ValueError("degenerate sampling: zero fit matrix")
@@ -256,8 +278,7 @@ def family_fit_error(
         (left[:, :rank].conj().T @ values) / singulars[:rank]
     )
     dense = ball_points(dim, center, radius, len(family))
-    dense_matrix = _family_matrix(family, dense)
-    dense_values = _sample(solution, dense)
+    dense_matrix, dense_values = _fit_values(solution, family, dense)
     error = float(np.max(np.abs(dense_values - dense_matrix @ coefficients)))
     degenerate = rank < min(len(family), len(grid))
     return FitResult(error, rank, len(family), degenerate)
@@ -385,8 +406,8 @@ def helmholtz_residual_exact(
     the image of the exponential is then an exact polynomial times the
     exponential, with no truncation anywhere.
     """
-    symbol = helmholtz_image(phi.phase, kappa_sq)
-    return symbol.evaluate_many(offsets) * np.exp(phi.phase.evaluate_many(offsets))
+    symbol, phase = evaluate_each([helmholtz_image(phi.phase, kappa_sq), phi.phase], offsets)
+    return symbol * np.exp(phase)
 
 
 def helmholtz_residual_fd(

@@ -88,27 +88,19 @@ class RunConfig:
         return cls(dim, degree, center, count, radii, seed, operator)
 
 
-def _finite(parse):
-    """A JSON number hook that refuses what a finite float cannot hold (NaN, 1e999, 10**400)."""
-
-    def hook(text: str):
-        value = parse(text)
-        if not abs(value) <= sys.float_info.max:
-            raise ValueError(f"number {reprlib.repr(text)} is not a finite float")
-        return value
-
-    return hook
+def _no_constant(text: str):
+    """JSON's ``NaN``, ``Infinity`` and ``-Infinity`` literals are not numbers here."""
+    raise ValueError(f"number {text!r} is not a finite float")
 
 
 def _read_json(path: Path, what: str):
-    """Parse a JSON file of finite numbers; anything unreadable is one ConfigError line."""
+    """Parse a JSON file; anything unreadable is one ConfigError line.
+
+    Numbers are parsed by ``json`` itself; the ``serialize`` rules that read
+    them refuse the values a finite float cannot hold (1e999, 10**400).
+    """
     try:
-        return json.loads(
-            path.read_text(encoding="utf-8"),
-            parse_float=_finite(float),
-            parse_int=_finite(int),
-            parse_constant=_finite(float),
-        )
+        return json.loads(path.read_text(encoding="utf-8"), parse_constant=_no_constant)
     except OSError as err:
         raise ConfigError(f"cannot read {what} {path}: {err.strerror or err}") from err
     except (ValueError, RecursionError) as err:

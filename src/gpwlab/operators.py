@@ -20,7 +20,7 @@ import numpy as np
 
 from .frame import OperatorSplit
 from .layers import PrincipalPart2, solve_layer, split_layer
-from .polycore import GradedPoly, HomogeneousPoly
+from .polycore import GradedPoly, HomogeneousPoly, evaluate_each
 
 
 def principal_sqrt(value: complex) -> complex:
@@ -261,9 +261,10 @@ def convected_residual_at(
     rho0 * (Lap - (M0 . grad)^2 + 2 i kappa M0 . grad + kappa^2); applied to
     an exponential of a polynomial phase this is an exact polynomial symbol
     times the exponential.  The symbol is built once, without any
-    truncation, and it and the phase are evaluated at the rows of the
-    (n, dim) array ``offsets``; returns the n values.  Independent check for
-    constant-coefficient basis functions.
+    truncation, and it and the phase are evaluated together, from one
+    Vandermonde matrix, at the rows of the (n, dim) array ``offsets``;
+    returns the n values.  Independent check for constant-coefficient basis
+    functions.
     """
     grads = phase.gradient()
     along = GradedPoly.zero(phase.dim)
@@ -285,7 +286,8 @@ def convected_residual_at(
         + along.scaled(2j * kappa)
         + GradedPoly.constant(phase.dim, kappa**2)
     )
-    return rho0 * symbol.evaluate_many(offsets) * np.exp(phase.evaluate_many(offsets))
+    symbol_values, phase_values = evaluate_each([symbol, phase], offsets)
+    return rho0 * symbol_values * np.exp(phase_values)
 
 
 # -- coefficient presets --------------------------------------------------

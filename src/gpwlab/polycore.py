@@ -47,9 +47,13 @@ and cached:
 
 Evaluation is a Vandermonde matrix times the vector, one matrix-vector
 product per row of a stack (one matrix-matrix product would round
-differently).  Sums over term pairs run in graded-lex pair order.  Every
-stored vector is read-only and every operation allocates a fresh value, so
-polynomials are safe to share across concurrent tasks.
+differently).  :func:`evaluate_each` evaluates several polynomials at one
+point set from one matrix, built at their largest cap: a column depends
+only on its monomial, so each polynomial takes the prefix of its size and
+gets the bits of its own evaluation.  Sums over term pairs run in
+graded-lex pair order.  Every stored vector is read-only and every
+operation allocates a fresh value, so polynomials are safe to share
+across concurrent tasks.
 """
 from __future__ import annotations
 
@@ -182,13 +186,54 @@ def _variable_positions(dim: int) -> np.ndarray:
 
 
 def _vandermonde(dim: int, cap: int, points: np.ndarray) -> np.ndarray:
-    """Rows: points; columns: the graded-lex monomials of degree <= cap at each point."""
+    """Rows: points; columns: the graded-lex monomials of degree <= cap at each point.
+
+    The bits are those of products of numpy ``**`` on an exponent array,
+    but powers 0 and 1 are written, and only powers >= 2 call ``pow``.  A
+    column depends only on its monomial: a lower cap's matrix is a prefix.
+    """
     exponents = _basis(dim, cap).exponents
-    matrix = np.ones((len(points), len(exponents)), dtype=points.dtype)
-    powers = np.arange(cap + 1)
-    for axis in range(dim):
-        matrix *= (points[:, axis, None] ** powers)[:, exponents[:, axis]]
+    coords = points.T[:, :, None]
+    table = np.empty((dim, len(points), cap + 1), dtype=points.dtype)
+    table[..., :1] = 1
+    # complex ** 1 turns every zero into +0
+    table[..., 1:2] = coords if points.dtype == float else np.where(coords == 0, 0, coords)
+    power = np.empty((dim, len(points), max(cap - 1, 0)))
+    power[...] = np.arange(2, cap + 1)  # never a broadcast exponent: numpy squares those by x * x
+    table[..., 2:] = coords ** power
+    if points.dtype == complex:
+        table[0] *= 1  # as a product that starts from ones: complex 1 * z drops signed zeros
+    matrix = table[0][:, exponents[:, 0]]
+    for axis in range(1, dim):
+        matrix *= table[axis][:, exponents[:, axis]]
     return matrix
+
+
+def evaluate_each(
+    polys: Sequence["GradedPoly"], points: Sequence[Sequence[Scalar]] | np.ndarray
+) -> list[np.ndarray]:
+    """Values of each polynomial (single: (n,); stack of r rows: (n, r)) at (n, dim) points.
+
+    One Vandermonde matrix is built, at the largest cap; each polynomial
+    multiplies the contiguous prefix of its own size, one matrix-vector
+    product per row, and gets the bits of its own evaluation.
+    """
+    dim = polys[0].dim
+    if any(poly.dim != dim for poly in polys):
+        raise ValueError("polynomials evaluated together must share one dimension")
+    points = _as_points(points, dim)
+    matrix = _vandermonde(dim, max(poly.cap for poly in polys), points)
+    out = []
+    for poly in polys:
+        columns = np.ascontiguousarray(matrix[:, : poly.vec.shape[-1]])
+        if poly.vec.ndim == 1:
+            out.append(columns @ poly.vec)
+            continue
+        values = np.empty((len(points), len(poly.vec)), dtype=complex)
+        for i, row in enumerate(poly.vec):
+            values[:, i] = columns @ row
+        out.append(values)
+    return out
 
 
 def _as_points(points: Sequence[Sequence[Scalar]] | np.ndarray, dim: int) -> np.ndarray:
@@ -629,16 +674,11 @@ class GradedPoly(_Poly):
     def evaluate_many(self, points: Sequence[Sequence[Scalar]] | np.ndarray) -> np.ndarray:
         """Values at the rows of an (n, dim) array of points, as a complex vector.
 
-        A stack of r rows gives an (n, r) array: the Vandermonde matrix is
-        built once, and column i is row i's one-polynomial result, bit for bit.
+        A stack of r rows gives an (n, r) array; column i is row i's
+        one-polynomial result, bit for bit.  The one-polynomial call of
+        :func:`evaluate_each`.
         """
-        matrix = _vandermonde(self.dim, self.cap, _as_points(points, self.dim))
-        if self.vec.ndim == 1:
-            return matrix @ self.vec
-        out = np.empty((len(matrix), len(self.vec)), dtype=complex)
-        for i, row in enumerate(self.vec):
-            out[:, i] = matrix @ row
-        return out
+        return evaluate_each([self], points)[0]
 
     def shifted(self, offset: Sequence[Scalar]) -> "GradedPoly":
         """Re-expand around a shifted origin: returns Q with Q(X) = P(X + offset)."""

@@ -10,43 +10,62 @@ phase terms from cached per-monomial templates cut from this encoder's
 own output, so its bytes are still exactly ``json_text`` of the records.
 
 Numbers read back from a JSON file go through :func:`integer` and
-:func:`real`, which take JSON numbers only: never a bool, a string or a
-truncated float.  :func:`integers` and :func:`reals` apply the same rules
-to a whole list at once, for the phase records of a basis file and for the
-exponents of every sparse polynomial; :func:`integer` also takes numpy
-integers, which a library caller may pass and JSON never yields.
+:func:`real`, which take finite JSON numbers only: never a bool, a string,
+a truncated float, or a value a float cannot hold (``1e999`` reads as
+infinity, ``10**400`` as an int beyond float range).  :func:`integers` and
+:func:`reals` apply the same rules to a whole list at once, for the phase
+records of a basis file and for the exponents of every sparse polynomial;
+:func:`integer` also takes numpy integers, which a library caller may pass
+and JSON never yields.
 """
 from __future__ import annotations
 
 import json
 import math
 import reprlib
+import sys
 from typing import Any
 
 import numpy as np
 
 
+def _finite(value, name: str) -> None:
+    """Refuse NaN, infinities and ints beyond float range, comparing exactly."""
+    if not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{name} must be a finite number, got {reprlib.repr(value)}")
+
+
 def integer(value, name: str) -> int:
-    """An int, a numpy integer, or a float with an integral value; never a bool."""
+    """An int, a numpy integer, or a float with an integral value; finite, never a bool."""
     number = isinstance(value, (int, float, np.integer)) and not isinstance(value, bool)
+    if number:
+        _finite(value, name)
     if not number or value != int(value):
         raise ValueError(f"{name} must be an integer, got {reprlib.repr(value)}")
     return int(value)
 
 
 def real(value, name: str) -> float:
-    """An int or a float, as a float; never a bool."""
+    """An int or a float, as a finite float; never a bool."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{name} must be a number, got {reprlib.repr(value)}")
+    _finite(value, name)
     return float(value)
 
 
 def _numbers(values: list, rule, name: str) -> np.ndarray:
-    """``values`` as one float array; refused by ``rule`` if any is not an int or a float."""
-    if not set(map(type, values)) <= {int, float}:
+    """``values`` as one float array, each under ``rule``, which runs per value only
+    when a bulk check fails: a type, an int past float range, a magnitude not
+    below the largest float (the rule keeps that float itself)."""
+    try:
+        array = np.array(values, dtype=float) if set(map(type, values)) <= {int, float} else None
+    except OverflowError:  # an int beyond float range
+        array = None
+    if array is None or not (np.abs(array) < sys.float_info.max).all():
         for value in values:
             rule(value, name)
-    return np.array(values, dtype=float)
+        array = np.array(values, dtype=float)
+    return array
 
 
 def reals(values: list, name: str) -> np.ndarray:
@@ -57,7 +76,7 @@ def reals(values: list, name: str) -> np.ndarray:
 def integers(values: list, name: str) -> np.ndarray:
     """:func:`integer` of every entry, as one float array of integral values."""
     array = _numbers(values, integer, name)
-    integral = np.isfinite(array) & (np.floor(array) == array)
+    integral = np.floor(array) == array
     if not integral.all():
         value = values[int(np.argmin(integral))]
         raise ValueError(f"{name} must be an integer, got {reprlib.repr(value)}")

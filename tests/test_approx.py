@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from gpwlab import approx
 from gpwlab.approx import (
     DecayReport,
-    _family_matrix,
+    _fit_values,
     ball_points,
     convergence_study,
     family_fit_error,
@@ -15,12 +16,14 @@ from gpwlab.approx import (
     helmholtz_residual_fd,
     manufactured_helmholtz,
     rank_comparison,
+    sphere_points,
     residual_order_study,
     taylor_matrix,
     taylor_rank,
     taylor_truncation,
 )
 from gpwlab.basis import (
+    ExpPhase,
     GpwFunction,
     build_family,
     build_gpw,
@@ -33,6 +36,7 @@ from gpwlab.frame import random_poly
 from gpwlab.operators import (
     CoefficientJet,
     make_convected_split,
+    helmholtz_image,
     make_helmholtz_split,
     omode_kappa_sq,
 )
@@ -183,6 +187,17 @@ class TestManufactured:
         assert not problem.kappa_sq
         assert problem.solution((2.0, -1.0)) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_exact_residual_has_the_bits_of_two_evaluations(self, dim):
+        profile = omode_kappa_sq(dim, 10.0, 2.0)
+        jet = CoefficientJet.from_polynomial(profile, (0.1,) * dim)
+        phi = build_family(make_helmholtz_split(jet, 5), [(1.0,) + (0.0,) * (dim - 1)])[0]
+        offsets = np.random.default_rng(dim).uniform(-0.3, 0.3, (40, dim))
+        symbol = helmholtz_image(phi.phase, jet.poly)
+        want = symbol.evaluate_many(offsets) * np.exp(phi.phase.evaluate_many(offsets))
+        got = helmholtz_residual_exact(phi, jet.poly, offsets)
+        assert got.tobytes() == want.tobytes()
+
     def test_quadratic_phase_residual_vanishes(self):
         g = GradedPoly(2, {(1, 0): 1j, (2, 0): 0.1j})
         problem = manufactured_helmholtz(g)
@@ -293,14 +308,14 @@ class TestStackedStudies:
             fit_points(dim, center, 0.3, len(family)),
             ball_points(dim, center, 0.05, len(family)),
         ):
-            got = _family_matrix(family, points)
+            got = _fit_values(family[0], family, points)[0]
             assert got.tobytes() == family_matrix_reference(family, points).tobytes()
 
     def test_family_matrix_needs_one_center(self):
         split = constant_split(degree=2)
         family = [build_gpw(split, (1.0, 0.0)), build_gpw(split, (0.0, 1.0), center=(0.1, 0.0))]
         with pytest.raises(ValueError):
-            _family_matrix(family, fit_points(2, (0.0, 0.0), 0.2, 2))
+            _fit_values(family[0], family, fit_points(2, (0.0, 0.0), 0.2, 2))
 
 
 class TestSampling:
@@ -332,6 +347,9 @@ class TestSampling:
                 for i in range(count)
             ]
 
+        for count, offset in ((1, 0.0), (4 * size, 0.0), (7 * size + 3, 0.37)):
+            got = sphere_points(dim, center, radius, count, offset)
+            assert got.tobytes() == np.array(sphere(radius, count, offset)).tobytes()
         fit = sphere(radius, 4 * size, 0.0) + sphere(2.0 * radius / 3.0, 2 * size, 0.5)
         fit += sphere(radius / 3.0, size, 0.25) + [center]
         dense = [center]
@@ -341,6 +359,16 @@ class TestSampling:
                           (ball_points(dim, center, radius, size), dense)):
             assert got.shape == (len(want), dim)
             assert got.tobytes() == np.array(want, dtype=float).tobytes()
+
+    def test_cached_directions_are_read_only_and_shared(self):
+        first = approx._unit_directions(2, 9, 0.37)
+        assert first is approx._unit_directions(2, 9, 0.37)
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0, 0] = 1.0
+        points = sphere_points(2, (0.0, 0.0), 1.0, 9, 0.37)
+        points[0, 0] = 5.0  # a fresh array: the cache is untouched
+        assert approx._unit_directions(2, 9, 0.37)[0, 0] != 5.0
 
 
 class TestFamilyFit:
@@ -383,6 +411,32 @@ class TestFamilyFit:
             family_fit_error(phi, [], 0.2)
         with pytest.raises(ValueError):
             family_fit_error(phi, [phi], 0.0)
+
+    @pytest.mark.parametrize("cap", [3, 7])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_shared_evaluation_has_the_bits_of_two_evaluations(self, dim, cap):
+        center = (0.1, -0.2, 0.3)[:dim]
+        family = mixed_family("helmholtz", dim, center)
+        solution = ExpPhase(center, random_poly(np.random.default_rng(40 + cap), dim, cap))
+        for points in (fit_points(dim, center, 0.3, len(family)),
+                       ball_points(dim, center, 0.3, len(family))):
+            matrix, values = _fit_values(solution, family, points)
+            assert matrix.tobytes() == family_matrix_reference(family, points).tobytes()
+            assert values.tobytes() == solution.values(points).tobytes()
+
+    @pytest.mark.parametrize("center", [(0.1, -0.2), (0.0, 0.0)])
+    def test_shared_fit_equals_the_sampled_fit(self, center):
+        class Sampled:
+            """Not an ExpPhase, so the fit samples it through ``values``."""
+
+            def __init__(self, solution):
+                self.values = solution.values
+
+        family = mixed_family("helmholtz", 2, (0.1, -0.2))
+        solution = ExpPhase(center, smooth_phase(np.random.default_rng(9)))
+        for radius in (0.4, 0.05):
+            shared = family_fit_error(solution, family, radius)
+            assert shared == family_fit_error(Sampled(solution), family, radius)
 
 
 class TestConvergence:

@@ -179,6 +179,31 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "c.json" in err
 
+    @pytest.mark.parametrize(
+        "field, literal",
+        [("degree", "1" + "0" * 400), ("directions", "1" + "0" * 400),
+         ("center", "[1e999, 0.0]"), ("center", "[0.0, -1e999]"), ("h_values", "[Infinity]"),
+         ("seed", "NaN"), ("kappa_sq", "1e999"), ("kappa_sq", "-Infinity"), ("kappa_sq", "NaN")],
+        ids=["degree-10**400", "directions-10**400", "center-1e999", "center-minus-1e999",
+             "h-value-infinity", "seed-nan", "kappa-sq-1e999", "kappa-sq-minus-infinity",
+             "kappa-sq-nan"],
+    )
+    def test_number_beyond_float_range_exits_2_with_one_line(
+        self, tmp_path, capsys, field, literal
+    ):
+        # written as JSON text: json.dumps cannot spell 1e999, and these literals
+        # reach the number rules unchanged, as a float infinity or a huge int
+        if field == "kappa_sq":
+            config = write_config(tmp_path / "c.json", operator={
+                "type": "helmholtz", "preset": "constant_kappa", "kappa_sq": "MARK"})
+        else:
+            config = write_config(tmp_path / "c.json", **{field: "MARK"})
+        config.write_text(config.read_text().replace('"MARK"', literal))
+        assert main(["build", "--config", str(config), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert len(err.encode()) < 200
+
     @given(raw=config_bytes)
     def test_load_returns_or_raises_config_error(self, tmp_path_factory, raw):
         # load only: degree and directions have no upper bound, so a fuzzed
@@ -303,6 +328,31 @@ class TestVerify:
         records[0]["phase"][0]["re"] = math.nan
         (out / "basis.json").write_text(json.dumps(records))
         assert main(["verify", "--config", str(config), "--out", str(out), "--quiet"]) == 2
+
+    @pytest.mark.parametrize(
+        "where, literal",
+        [("re", "1e999"), ("re", "-1e999"), ("x0", "1e999"), ("x0", "-1e999"),
+         ("re", "NaN"), ("x0", "Infinity"), ("residual_norm", "-Infinity"),
+         ("p", "1" + "0" * 400), ("exponents", "[1" + "0" * 400 + ", 0]")],
+        ids=["re-1e999", "re-minus-1e999", "x0-1e999", "x0-minus-1e999", "re-nan",
+             "x0-infinity", "residual-norm-minus-infinity", "p-10**400", "exponent-10**400"],
+    )
+    def test_non_finite_basis_number_exits_2_with_one_line(self, tmp_path, capsys, where, literal):
+        config = write_config(tmp_path / "c.json")
+        out = tmp_path / "out"
+        main(["build", "--config", str(config), "--out", str(out), "--quiet"])
+        records = json.loads((out / "basis.json").read_text())
+        if where in ("re", "exponents"):
+            records[0]["phase"][0][where] = "MARK"
+        elif where == "x0":
+            records[0]["x0"][1] = "MARK"
+        else:
+            records[0][where] = "MARK"
+        (out / "basis.json").write_text(json.dumps(records).replace('"MARK"', literal))
+        assert main(["verify", "--config", str(config), "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert len(err.encode()) < 300
 
     @pytest.mark.parametrize(
         "field, value",

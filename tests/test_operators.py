@@ -3,6 +3,7 @@ import cmath
 import numpy as np
 import pytest
 
+from gpwlab import operators
 from gpwlab.basis import build_family, unit_circle_directions, unit_sphere_directions
 from gpwlab.frame import random_poly, verify_split
 from gpwlab.operators import (
@@ -381,6 +382,22 @@ class TestConvectedSplit:
             ]
             scale = max(abs(value) for value in reference)
             assert np.abs(batch - reference).max() <= 1e-13 * scale
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_residual_has_the_bits_of_two_evaluations(self, dim, monkeypatch):
+        rho0, kappa, mach0 = 1.2, 3.0 + 0.5j, (0.3, -0.2, 0.1)[:dim]
+        split = constant_flow_split(dim, rho0, mach0, kappa=kappa, degree=5)
+        directions = unit_circle_directions(2) if dim == 2 else unit_sphere_directions(2)
+        offsets = np.random.default_rng(dim).uniform(-0.5, 0.5, (30, dim))
+        for phi in build_family(split, directions):
+            got = convected_residual_at(phi.phase, rho0, mach0, kappa, offsets)
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    operators, "evaluate_each",
+                    lambda polys, points: [poly.evaluate_many(points) for poly in polys],
+                )
+                want = convected_residual_at(phi.phase, rho0, mach0, kappa, offsets)
+            assert got.tobytes() == want.tobytes()
 
     def test_reduces_to_helmholtz_without_flow(self):
         rng = np.random.default_rng(14)

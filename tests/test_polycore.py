@@ -7,6 +7,8 @@ from gpwlab.polycore import (
     GradedPoly,
     HomogeneousPoly,
     _basis,
+    _vandermonde,
+    evaluate_each,
     layer_dimension,
     monomials_of_degree,
     monomials_up_to,
@@ -762,6 +764,73 @@ def test_stack_evaluation_columns_match_rows(data, dim, count):
         # a fresh copy of the row, so the match does not hinge on the stack's memory
         single = GradedPoly.from_vector(dim, row).evaluate_many(points)
         assert column.tobytes() == single.tobytes()
+
+
+def vandermonde_reference(dim, cap, points):
+    """The all-``pow`` Vandermonde matrix that the lean power table replaced, kept as its oracle."""
+    exponents = _basis(dim, cap).exponents
+    matrix = np.ones((len(points), len(exponents)), dtype=points.dtype)
+    powers = np.arange(cap + 1)
+    for axis in range(dim):
+        matrix *= (points[:, axis, None] ** powers)[:, exponents[:, axis]]
+    return matrix
+
+
+# quiet NaNs only: no numpy operation makes a signalling one
+special_reals = st.sampled_from([-0.0, 0.0, np.inf, -np.inf, np.nan, -np.nan, 1e-200, -1e200])
+coordinates = special_reals | st.floats(-4.0, 4.0)
+
+
+@st.composite
+def special_points(draw, dim, complex_points):
+    count = draw(st.integers(0, 12))
+    real = np.array(draw(st.lists(coordinates, min_size=count * dim, max_size=count * dim)))
+    if not complex_points:
+        return real.reshape(count, dim)
+    points = np.empty((count, dim), dtype=complex)
+    points.real = real.reshape(count, dim)
+    points.imag = np.reshape(
+        draw(st.lists(coordinates, min_size=count * dim, max_size=count * dim)), (count, dim)
+    )
+    return points
+
+
+@given(st.data(), dims, st.integers(-1, 8), st.booleans())
+def test_vandermonde_has_the_bits_of_the_all_pow_matrix(data, dim, cap, complex_points):
+    points = data.draw(special_points(dim, complex_points))
+    with np.errstate(all="ignore"):
+        got = _vandermonde(dim, cap, points)
+        want = vandermonde_reference(dim, cap, points)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_vandermonde_power_two_keeps_the_pow_bits():
+    # numpy squares a broadcast exponent 2 by x * x, which differs from pow in the last bit
+    points = np.random.default_rng(5).uniform(-2.0, 2.0, (2000, 1))
+    assert _vandermonde(1, 2, points).tobytes() == vandermonde_reference(1, 2, points).tobytes()
+
+
+@given(st.data(), dims, st.booleans())
+def test_evaluate_each_has_the_bits_of_each_evaluation(data, dim, complex_points):
+    polys = [
+        data.draw(stacks(dim) if data.draw(st.booleans()) else graded_polys(dim=dim, max_degree=8))
+        for _ in range(data.draw(st.integers(1, 4)))
+    ]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    points = rng.uniform(-1.0, 1.0, (data.draw(st.integers(0, 9)), dim))
+    if complex_points:
+        points = points + 1j * rng.uniform(-1.0, 1.0, points.shape)
+    values = evaluate_each(polys, points)
+    assert len(values) == len(polys)
+    for got, poly in zip(values, polys):
+        want = GradedPoly.from_vector(dim, poly.vec).evaluate_many(points)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_evaluate_each_refuses_mixed_dimensions():
+    with pytest.raises(ValueError):
+        evaluate_each([X, GradedPoly.variable(3, 0)], np.zeros((2, 2)))
 
 
 @given(st.data(), dims)
