@@ -202,10 +202,10 @@ def _vandermonde(dim: int, cap: int, points: np.ndarray) -> np.ndarray:
     power[...] = np.arange(2, cap + 1)  # never a broadcast exponent: numpy squares those by x * x
     table[..., 2:] = coords ** power
     if points.dtype == complex:
-        table[0] *= 1  # as a product that starts from ones: complex 1 * z drops signed zeros
-    matrix = table[0][:, exponents[:, 0]]
+        np.multiply(1, table[0], out=table[0])  # as a product from ones: 1 * z drops signed zeros
+    matrix = np.take(table[0], exponents[:, 0], axis=1)  # row-major, as products expect
     for axis in range(1, dim):
-        matrix *= table[axis][:, exponents[:, axis]]
+        matrix *= np.take(table[axis], exponents[:, axis], axis=1)
     return matrix
 
 
