@@ -35,6 +35,13 @@ def taylor_truncation(
     single function is a stack of one and gives a single polynomial.
     Exact: with the constant term factored out, the phase has positive
     valuation, so powers beyond the bound cannot contribute below it.
+    For the same reason the power that step m multiplies, the (m-1)-th, is
+    zero below degree m - 1, so step m multiplies it by the phase cut to
+    degree ``bound - m + 1``: the pairs the cut drops all multiply an exact
+    zero, and the bits are those of the full product.  A phase with an
+    infinite or NaN coefficient is the exception: zero times such a
+    coefficient is NaN, so a coefficient that the full product would make
+    NaN may come out finite or infinite here.
     """
     family = [functions] if isinstance(functions, GpwFunction) else list(functions)
     if bound is None:
@@ -47,7 +54,7 @@ def taylor_truncation(
     term = GradedPoly.from_vector(dim, np.ones((rows, 1)))
     total = term
     for m in range(1, bound + 1):
-        term = term.mul_truncated(reduced, bound).scaled(1.0 / m)
+        term = term.mul_truncated(reduced.truncate(bound - m + 1), bound).scaled(1.0 / m)
         total = total + term
     total = total.scaled(np.array([cmath.exp(c) for c in constants.tolist()]))
     return total.rows()[0] if isinstance(functions, GpwFunction) else total
@@ -274,9 +281,9 @@ def family_fit_error(
     rank = int(np.sum(keep))
     if rank == 0:
         raise ValueError("degenerate sampling: fit matrix has numerical rank 0")
-    coefficients = right_h[:rank].conj().T @ (
-        (left[:, :rank].conj().T @ values) / singulars[:rank]
-    )
+    # einsum sums in a fixed order; OpenBLAS splits this long reduction by thread count
+    projection = np.einsum("ij,i->j", left[:, :rank].conj(), values)
+    coefficients = right_h[:rank].conj().T @ (projection / singulars[:rank])
     dense = ball_points(dim, center, radius, len(family))
     dense_matrix, dense_values = _fit_values(solution, family, dense)
     error = float(np.max(np.abs(dense_values - dense_matrix @ coefficients)))

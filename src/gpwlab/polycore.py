@@ -43,7 +43,9 @@ and cached:
 * per ``(dim, cap, index)``: the source positions and falling-factorial
   factors of a derivative, which is one gather and scale;
 * per ``(dim, cap)``: the pairs and binomials of the re-expansion about a
-  shifted origin.
+  shifted origin;
+* per ``(dim, cap)``: each monomial's parent, with one power fewer, and the
+  axis that leads to it, from which the Vandermonde matrix is built.
 
 Evaluation is a Vandermonde matrix times the vector, one matrix-vector
 product per row of a stack (one matrix-matrix product would round
@@ -71,6 +73,11 @@ from .serialize import integers, reals
 MultiIndex = tuple[int, ...]
 
 Scalar = complex | float | int
+
+# The most coefficients a sparse constructor stores per polynomial (1 MiB of
+# complex128): degree 360 in two dimensions, 71 in three.  Built phases of
+# degree 20 in three dimensions need 1771.
+MAX_COEFFICIENTS = 2**16
 
 
 def monomials_up_to(dim: int, degree: int) -> list[MultiIndex]:
@@ -185,28 +192,37 @@ def _variable_positions(dim: int) -> np.ndarray:
     return _frozen(_basis(dim, 1).rank(np.eye(dim, dtype=np.int64)))
 
 
+@lru_cache(maxsize=None)
+def _parent_table(dim: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each monomial's parent, with one power fewer on its first non-zero axis, and that axis.
+
+    Returns the parents' positions and the axes; the constant monomial is its
+    own parent along axis 0.
+    """
+    exponents = _basis(dim, cap).exponents
+    axes = np.argmax(exponents > 0, axis=1)
+    parents = np.maximum(exponents - (np.arange(dim) == axes[:, None]), 0)
+    return _frozen(_basis(dim, cap).rank(parents)), _frozen(axes)
+
+
 def _vandermonde(dim: int, cap: int, points: np.ndarray) -> np.ndarray:
     """Rows: points; columns: the graded-lex monomials of degree <= cap at each point.
 
-    The bits are those of products of numpy ``**`` on an exponent array,
-    but powers 0 and 1 are written, and only powers >= 2 call ``pow``.  A
-    column depends only on its monomial: a lower cap's matrix is a prefix.
+    Column 0 is 1 and every other column is its parent's column times one
+    coordinate (:func:`_parent_table`), so a monomial is the product of its
+    coordinates from the last axis to the first, one multiply at a time,
+    with no ``pow``: one gather and one multiply per degree layer.  Built
+    one contiguous column per monomial and returned transposed; a column
+    depends only on its monomial, so a lower cap's matrix is a prefix.
     """
-    exponents = _basis(dim, cap).exponents
-    coords = points.T[:, :, None]
-    table = np.empty((dim, len(points), cap + 1), dtype=points.dtype)
-    table[..., :1] = 1
-    # complex ** 1 turns every zero into +0
-    table[..., 1:2] = coords if points.dtype == float else np.where(coords == 0, 0, coords)
-    power = np.empty((dim, len(points), max(cap - 1, 0)))
-    power[...] = np.arange(2, cap + 1)  # never a broadcast exponent: numpy squares those by x * x
-    table[..., 2:] = coords ** power
-    if points.dtype == complex:
-        np.multiply(1, table[0], out=table[0])  # as a product from ones: 1 * z drops signed zeros
-    matrix = np.take(table[0], exponents[:, 0], axis=1)  # row-major, as products expect
-    for axis in range(1, dim):
-        matrix *= np.take(table[axis], exponents[:, axis], axis=1)
-    return matrix
+    parents, axes = _parent_table(dim, cap)
+    columns = np.empty((len(parents), len(points)), dtype=points.dtype)
+    columns[:1] = 1
+    coords = np.ascontiguousarray(points.T)
+    for degree in range(1, cap + 1):
+        start, stop = space_dimension(dim, degree - 1), space_dimension(dim, degree)
+        np.multiply(columns[parents[start:stop]], coords[axes[start:stop]], out=columns[start:stop])
+    return columns.T
 
 
 def evaluate_each(
@@ -214,9 +230,11 @@ def evaluate_each(
 ) -> list[np.ndarray]:
     """Values of each polynomial (single: (n,); stack of r rows: (n, r)) at (n, dim) points.
 
-    One Vandermonde matrix is built, at the largest cap; each polynomial
-    multiplies the contiguous prefix of its own size, one matrix-vector
-    product per row, and gets the bits of its own evaluation.
+    One Vandermonde matrix is built, at the largest cap.  Each polynomial
+    takes the prefix of its own size as one row-major complex copy, the
+    operand numpy's product would otherwise copy once per row, multiplies
+    it one matrix-vector product per row, and gets the bits of its own
+    evaluation.
     """
     dim = polys[0].dim
     if any(poly.dim != dim for poly in polys):
@@ -225,7 +243,7 @@ def evaluate_each(
     matrix = _vandermonde(dim, max(poly.cap for poly in polys), points)
     out = []
     for poly in polys:
-        columns = np.ascontiguousarray(matrix[:, : poly.vec.shape[-1]])
+        columns = matrix[:, : poly.vec.shape[-1]].astype(complex, order="C")
         if poly.vec.ndim == 1:
             out.append(columns @ poly.vec)
             continue
@@ -737,9 +755,10 @@ def _scatter(
     a negative entry, a scalar or a tuple of another length is refused, and a
     term above ``bound`` is refused before any storage is sized.  A
     monomial's first term is assigned and repeats add in term order; signed
-    zeros survive, and a zero sum is stored as +0.  Each row's cap is that of
-    its highest non-zero term; returns the rows, cut to the highest cap, and
-    the caps.
+    zeros survive, and a zero sum is stored as +0.  A term whose degree needs
+    more than :data:`MAX_COEFFICIENTS` coefficients per row is refused before
+    any storage is sized.  Each row's cap is that of its highest non-zero
+    term; returns the rows, cut to the highest cap, and the caps.
     """
     if dim < 1:
         raise ValueError("dimension must be at least 1")
@@ -756,9 +775,16 @@ def _scatter(
         index = exponents[int(np.argmax(negative))]
         raise ValueError(f"bad exponent tuple {reprlib.repr(index)} for dimension {dim}")
     with np.errstate(over="ignore"):  # a sum beyond float range is inf, above any bound
-        degree = flat.sum(axis=1).max(initial=-1.0)
+        degrees = flat.sum(axis=1)
+    degree = degrees.max(initial=-1.0)
     if bound is not None and degree > bound:
         raise ValueError(f"a record of degree {degree:.0f} exceeds the degree bound {bound}")
+    if not degree < math.inf or space_dimension(dim, int(degree)) > MAX_COEFFICIENTS:
+        index = exponents[int(np.argmax(degrees))]
+        raise ValueError(
+            f"exponent tuple {reprlib.repr(index)} needs more than {MAX_COEFFICIENTS} "
+            f"coefficients in dimension {dim}"
+        )
     cap = int(degree)
 
     size = space_dimension(dim, cap)

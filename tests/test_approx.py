@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gpwlab import approx
 from gpwlab.approx import (
@@ -40,7 +42,7 @@ from gpwlab.operators import (
     make_helmholtz_split,
     omode_kappa_sq,
 )
-from gpwlab.polycore import GradedPoly, monomials_of_degree, space_dimension
+from gpwlab.polycore import GradedPoly, monomials_of_degree, monomials_up_to, space_dimension
 
 RADII = (0.4, 0.2, 0.1, 0.05)
 
@@ -266,7 +268,48 @@ def mixed_family(kind, dim, center):
     return build_family(variable_split(kind, dim), real[:3] + [evanescent] + real[3:], center)
 
 
+def function_of(phase):
+    dim = phase.dim
+    return GpwFunction((0.0,) * dim, phase, 5, (1.0,) + (0.0,) * (dim - 1), "random", 0.0)
+
+
+signed_parts = st.sampled_from([0.0, -0.0, 1.0, -0.5]) | st.floats(-2.0, 2.0)
+
+
+@st.composite
+def finite_phases(draw, dim):
+    """Phases of degree <= 5 whose terms, the constant one included, are complex
+    with signed zeros among their parts."""
+    terms = draw(st.dictionaries(
+        st.sampled_from(monomials_up_to(dim, 5)), st.builds(complex, signed_parts, signed_parts),
+        max_size=8,
+    ))
+    return GradedPoly(dim, terms)
+
+
 class TestStackedStudies:
+    @given(st.data(), st.integers(1, 3), st.integers(0, 7))
+    def test_taylor_truncation_has_the_bits_of_the_full_products(self, data, dim, bound):
+        # the reference multiplies the whole phase at every step
+        rows = data.draw(st.integers(1, 4))
+        family = [function_of(data.draw(finite_phases(dim))) for _ in range(rows)]
+        want = taylor_matrix_reference(family, bound)
+        assert taylor_matrix(family, bound).tobytes() == want.tobytes()
+        got = taylor_truncation(family[0], bound)
+        want = taylor_truncation_reference(family[0], bound)
+        assert got.cap == want.cap and got.vec.tobytes() == want.vec.tobytes()
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_taylor_truncation_differs_only_where_the_full_products_give_nan(self, bad):
+        phi = function_of(GradedPoly(2, {
+            (0, 0): 0.5j, (1, 0): 1.0 + 0.5j, (1, 1): 0.2, (0, 3): complex(bad, 0.3),
+        }))
+        with np.errstate(all="ignore"):
+            got = taylor_truncation(phi, 6).vec.view(float)
+            want = taylor_truncation_reference(phi, 6).vec.view(float)
+        differ = (got != want) & ~(np.isnan(got) & np.isnan(want))
+        assert np.isnan(want[differ]).all()
+
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("kind", ["helmholtz", "convected"])
     def test_taylor_matrix_equals_per_function_loop(self, kind, dim):

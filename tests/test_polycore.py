@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gpwlab.polycore import (
+    MAX_COEFFICIENTS,
     GradedPoly,
     HomogeneousPoly,
     _basis,
@@ -381,6 +383,22 @@ class TestRecordsStack:
         records = [{"exponents": [exponent, exponent], "re": 0.0, "im": 0.0}]
         with pytest.raises(ValueError, match="exceeds the degree bound 3"):
             GradedPoly.from_records(2, records, bound=3)
+
+    @pytest.mark.parametrize("exponent", [10**5, 10**7])
+    def test_huge_exponent_without_a_bound_is_refused_at_once(self, exponent):
+        records = [{"exponents": [exponent, 0], "re": 1.0, "im": 0.0}]
+        for make in (lambda: GradedPoly(2, {(exponent, 0): 1}),
+                     lambda: GradedPoly.from_records(2, records)):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match=f"{exponent}, 0.* more than {MAX_COEFFICIENTS}"):
+                make()
+            assert time.perf_counter() - start < 1.0
+
+    def test_largest_degree_that_fits_is_stored(self):
+        assert GradedPoly(2, {(360, 0): 1}).cap == 360
+        assert space_dimension(2, 360) <= MAX_COEFFICIENTS < space_dimension(2, 361)
+        with pytest.raises(ValueError):
+            GradedPoly(2, {(0, 361): 1})
 
     @given(st.data(), st.integers(1, 3))
     def test_dict_constructor_equals_records(self, data, dim):
@@ -769,7 +787,8 @@ def test_stack_evaluation_columns_match_rows(data, dim, count):
 
 
 def vandermonde_reference(dim, cap, points):
-    """The all-``pow`` Vandermonde matrix that the lean power table replaced, kept as its oracle."""
+    """The all-``pow`` Vandermonde matrix that the parent-column products replaced, kept as
+    their oracle to within rounding."""
     exponents = _basis(dim, cap).exponents
     matrix = np.ones((len(points), len(exponents)), dtype=points.dtype)
     powers = np.arange(cap + 1)
@@ -778,11 +797,24 @@ def vandermonde_reference(dim, cap, points):
     return matrix
 
 
+def vandermonde_chain(dim, cap, points):
+    """Each monomial's column written out as its chain of parents: 1 times the
+    coordinates, last axis first, one multiply at a time."""
+    columns = []
+    for exponents in monomials_up_to(dim, cap):
+        column = np.ones(len(points), dtype=points.dtype)
+        for axis in reversed(range(dim)):
+            for _ in range(exponents[axis]):
+                column = column * np.ascontiguousarray(points[:, axis])
+        columns.append(column)
+    return np.stack(columns, axis=1) if columns else np.ones((len(points), 0), points.dtype)
+
+
 def assert_same_bits_but_nan_signs(got, want):
     """Equal bytes, but a NaN's sign is free: a product of two NaNs takes the sign
-    of either, by its position in numpy's SIMD loop (the reference alone shows both)."""
+    of either, by its position in numpy's SIMD loop."""
     assert got.dtype == want.dtype and got.shape == want.shape
-    got, want = np.ascontiguousarray(got).view(float), want.view(float)
+    got, want = np.ascontiguousarray(got).view(float), np.ascontiguousarray(want).view(float)
     nan = np.isnan(want)
     assert np.array_equal(np.isnan(got), nan)
     assert got[~nan].tobytes() == want[~nan].tobytes()
@@ -791,11 +823,13 @@ def assert_same_bits_but_nan_signs(got, want):
 # quiet NaNs only: no numpy operation makes a signalling one
 special_reals = st.sampled_from([-0.0, 0.0, np.inf, -np.inf, np.nan, -np.nan, 1e-200, -1e200])
 coordinates = special_reals | st.floats(-4.0, 4.0)
+# zero, or far enough from zero that no power up to 10 underflows
+moderate = st.sampled_from([0.0, -0.0]) | st.floats(1e-3, 4.0) | st.floats(-4.0, -1e-3)
 
 
 @st.composite
-def special_points(draw, dim, complex_points):
-    count = draw(st.integers(0, 12))
+def special_points(draw, dim, complex_points, coordinates=coordinates, max_count=12):
+    count = draw(st.integers(0, max_count))
     real = np.array(draw(st.lists(coordinates, min_size=count * dim, max_size=count * dim)))
     if not complex_points:
         return real.reshape(count, dim)
@@ -807,12 +841,24 @@ def special_points(draw, dim, complex_points):
     return points
 
 
+@given(st.data(), st.integers(1, 3), st.integers(0, 10), st.booleans())
+def test_vandermonde_is_within_rounding_of_the_all_pow_matrix(data, dim, cap, complex_points):
+    # Each entry of either matrix is at most cap roundings from the exact product, a
+    # real multiply rounding by eps / 2 and a complex one by at most sqrt(5) eps / 2
+    # (normwise), with pow's own error on top: 4 * cap * eps bounds the difference.
+    points = data.draw(special_points(dim, complex_points, moderate, max_count=30))
+    got = _vandermonde(dim, cap, points)
+    want = vandermonde_reference(dim, cap, points)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 4 * cap * np.finfo(float).eps * np.abs(want))
+
+
 @given(st.data(), dims, st.integers(-1, 8), st.booleans())
-def test_vandermonde_has_the_bits_of_the_all_pow_matrix(data, dim, cap, complex_points):
+def test_vandermonde_has_the_bits_of_the_parent_chain(data, dim, cap, complex_points):
     points = data.draw(special_points(dim, complex_points))
     with np.errstate(all="ignore"):
         got = _vandermonde(dim, cap, points)
-        want = vandermonde_reference(dim, cap, points)
+        want = vandermonde_chain(dim, cap, points)
     assert_same_bits_but_nan_signs(got, want)
 
 
@@ -826,14 +872,20 @@ def test_vandermonde_on_every_combination_of_special_values(dim, complex_points)
     with np.errstate(all="ignore"):
         for cap in range(5):
             assert_same_bits_but_nan_signs(
-                _vandermonde(dim, cap, points), vandermonde_reference(dim, cap, points)
+                _vandermonde(dim, cap, points), vandermonde_chain(dim, cap, points)
             )
 
 
-def test_vandermonde_power_two_keeps_the_pow_bits():
-    # numpy squares a broadcast exponent 2 by x * x, which differs from pow in the last bit
-    points = np.random.default_rng(5).uniform(-2.0, 2.0, (2000, 1))
-    assert _vandermonde(1, 2, points).tobytes() == vandermonde_reference(1, 2, points).tobytes()
+@pytest.mark.parametrize("complex_points", [False, True])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_vandermonde_on_many_points_has_the_bits_of_the_parent_chain(dim, complex_points):
+    # thousands of points run numpy's vector loops, not only their tails
+    rng = np.random.default_rng(5)
+    points = rng.uniform(-2.0, 2.0, (2000, dim))
+    if complex_points:
+        points = points + 1j * rng.uniform(-2.0, 2.0, (2000, dim))
+    got = _vandermonde(dim, 8, points)
+    assert got.tobytes() == vandermonde_chain(dim, 8, points).tobytes()
 
 
 @given(st.data(), dims, st.booleans())
