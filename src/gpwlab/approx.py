@@ -31,8 +31,10 @@ def taylor_truncation(
 
     A sequence of functions gives one stack row per function, the bound
     defaulting to their largest degree; the series runs once on the stack
-    of phases, and each row is the polynomial its function gets alone.  A
-    single function is a stack of one and gives a single polynomial.
+    of phases, and each row is the polynomial its function gets alone: a
+    constant phase gives a constant, so its row keeps +0 above degree 0
+    rather than zeros times its scale factor, which may be -0.  A single
+    function is a stack of one and gives a single polynomial.
     Exact: with the constant term factored out, the phase has positive
     valuation, so powers beyond the bound cannot contribute below it.
     For the same reason the power that step m multiplies, the (m-1)-th, is
@@ -56,7 +58,9 @@ def taylor_truncation(
     for m in range(1, bound + 1):
         term = term.mul_truncated(reduced.truncate(bound - m + 1), bound).scaled(1.0 / m)
         total = total + term
-    total = total.scaled(np.array([cmath.exp(c) for c in constants.tolist()]))
+    vec = total.vec * np.array([cmath.exp(c) for c in constants.tolist()])[:, None]
+    vec[np.array([phi.phase.cap <= 0 for phi in family]), 1:] = 0
+    total = GradedPoly.from_vector(dim, vec)
     return total.rows()[0] if isinstance(functions, GpwFunction) else total
 
 

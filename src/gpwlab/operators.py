@@ -78,30 +78,34 @@ def _second_order_split(
     ``a`` maps (i, j), i <= j, to the jet of the symmetric A_ij (missing
     entries are zero); ``b`` holds one jet per axis.  Over exp(P), L gives
     sum_ij A_ij (d_ij P + d_i P d_j P) + b . grad P + c.  With w_ij = 2 off
-    the diagonal and 1 on it, the principal part is sum w_ij A_ij(0) d_ij,
-    the remainder T_bound[sum w_ij ((A_ij - A_ij(0)) d_ij P + A_ij d_i P d_j P)
-    + b . grad P] and the target -T_bound c.
+    the diagonal and 1 on it and V_ij = A_ij - A_ij(0), the principal part
+    is sum w_ij A_ij(0) d_ij, the remainder
+    T_bound[sum w_ij (V_ij (d_ij P + d_i P d_j P) + A_ij(0) d_i P d_j P) + b . grad P]
+    and the target -T_bound c.  Grouped this way, each varying coefficient
+    multiplies once per call; with V = 0 only the gradient products remain.
     """
     dim, bound = c.dim, degree - 2
-    frozen, hessian, quadratic = {}, [], []
+    frozen, quadratic = {}, []
     for (i, j), jet in sorted(a.items()):
         jet = jet if i == j else jet.scaled(2)
         at_center = jet.vec[0] if jet.cap >= 0 else 0j
         frozen[tuple((k == i) + (k == j) for k in range(dim))] = at_center
-        if varying := _multiplier(jet - GradedPoly.constant(dim, at_center), bound):
-            hessian.append((i, j, varying))
-        if times := _multiplier(jet, bound):
-            quadratic.append((i, j, times))
+        constant = GradedPoly.constant(dim, at_center)
+        varying, times = _multiplier(jet - constant, bound), _multiplier(constant, bound)
+        if varying or times:
+            quadratic.append((i, j, varying, times))
     linear = [(i, times) for i, jet in enumerate(b) if (times := _multiplier(jet, bound))]
     part = PrincipalPart2.build(dim, frozen)
 
     def remainder(poly: GradedPoly) -> GradedPoly:
         grads = poly.gradient()
         out = GradedPoly.zero(dim)
-        for i, j, times in hessian:
-            out = out + times(poly.hessian_entry(i, j))
-        for i, j, times in quadratic:
-            out = out + times(grads[i].mul_truncated(grads[j], bound))
+        for i, j, varying, times in quadratic:
+            square = grads[i].mul_truncated(grads[j], bound)
+            if varying:
+                out = out + varying(poly.hessian_entry(i, j) + square)
+            if times:
+                out = out + times(square)
         for i, times in linear:
             out = out + times(grads[i])
         return out

@@ -35,11 +35,19 @@ and cached:
 
 * per ``(dim, cap)``: the one table of monomials, which every other table
   and :func:`monomials_up_to` read: the exponent array, the degree of each
-  entry and a rank from exponents to positions, a direct index by key;
-* per ``(dim, cap_a, cap_b, bound)``: the term pairs ``(ia, ib)`` of a
-  truncated product whose degrees sum to at most the bound, and the
-  position of each pair's product.  A product is ``a[ia] * b[ib]`` reduced
-  with ``np.bincount``, so pairs the bound discards are never visited;
+  entry and a rank from exponents to positions, counted from the sizes of
+  the spaces in fewer variables (no table indexed by all exponent tuples);
+* per ``(dim, low_a, cap_a, low_b, cap_b, bound)``: the term pairs
+  ``(ia, ib)`` of a truncated product whose degrees sum to at most the
+  bound, each factor at or above its operand's lowest layer that is
+  non-zero in some row, and the position of each pair's product.  A
+  product is ``a[ia] * b[ib]`` reduced with ``np.bincount``, so pairs the
+  bound discards are never visited, and neither are pairs with a factor in
+  an all-zero low layer.  Such a pair multiplies an exact zero, and the
+  bits of every finite result are those of the full table.  The exception
+  is a non-finite factor: ``0 * inf`` and ``0 * nan`` are NaN, and the
+  full table forms them at the skipped pairs, so a coefficient that the
+  full table makes NaN may come out finite or infinite here;
 * per ``(dim, cap, index)``: the source positions and falling-factorial
   factors of a derivative, which is one gather and scale;
 * per ``(dim, cap)``: the pairs and binomials of the re-expansion about a
@@ -124,39 +132,63 @@ class _Basis(NamedTuple):
     monomials: tuple[MultiIndex, ...]
     exponents: np.ndarray  # (size, dim)
     degrees: np.ndarray  # (size,)
-    radix: np.ndarray  # mixed-radix weights: every exponent is <= cap
-    lookup: np.ndarray  # position by mixed-radix key; -1 above degree cap
+    below: np.ndarray  # below[m, r]: the monomials of degree < r in m variables, r <= cap + 1
 
     def rank(self, exponents: np.ndarray) -> np.ndarray:
-        """Positions of exponent rows, each of total degree <= cap."""
-        return self.lookup[exponents @ self.radix]
+        """Positions of exponent rows, each of total degree <= cap.
+
+        A row e of degree d sits at the last position of degree d, less the
+        monomials of degree d after it in lex order.  For each axis k > 0,
+        those that agree with e before axis k - 1 and are larger there are
+        the ones whose entries from axis k on, in dim - k variables, have a
+        degree below e's own there, r_k: ``below[dim - k, r_k]`` of them.
+        """
+        dim, width = exponents.shape[1], self.below.shape[1]
+        below = self.below.ravel()
+        tail, later = np.zeros(len(exponents), dtype=np.int64), 0
+        for k in range(dim - 1, 0, -1):
+            tail += exponents[:, k]
+            later = later + below.take(tail + (dim - k) * width)
+        tail += exponents[:, 0]
+        return below.take(tail + 1 + dim * width) - 1 - later
 
 
 @lru_cache(maxsize=None)
 def _basis(dim: int, cap: int) -> _Basis:
-    """The one enumeration of monomials: tuples of entries <= cap, graded-lex."""
-    side = max(cap, 0) + 1
-    grid = np.indices((side,) * dim, dtype=np.int64).reshape(dim, -1).T  # row k has key k
-    degrees = grid.sum(axis=1)
-    keep = np.flatnonzero(degrees <= cap)
-    keys = keep[np.argsort(degrees[keep], kind="stable")]
-    lookup = np.full(len(grid), -1, dtype=np.int64)
-    lookup[keys] = np.arange(len(keys))
-    exponents = grid[keys]
+    """The one enumeration of monomials: every tuple of degree <= cap, graded-lex.
+
+    The tuples are grown one axis at a time, each entry up to the degree
+    the earlier ones leave, which lists them in lex order; a stable sort by
+    degree then makes the order graded-lex.  Nothing larger than the
+    basis is built.
+    """
+    cap = max(cap, -1)  # every negative cap has no monomials
+    exponents = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(dim):
+        choices = cap + 1 - exponents.sum(axis=1)
+        parent = np.repeat(np.arange(len(exponents)), choices)
+        entry = np.arange(len(parent)) - np.repeat(np.cumsum(choices) - choices, choices)
+        exponents = np.column_stack((exponents[parent], entry))
+    exponents = exponents[np.argsort(exponents.sum(axis=1), kind="stable")]
+    below = [[space_dimension(m, r - 1) for r in range(cap + 2)] for m in range(dim + 1)]
     return _Basis(
         tuple(map(tuple, exponents.tolist())),
         _frozen(exponents),
-        _frozen(degrees[keys]),
-        _frozen(side ** np.arange(dim - 1, -1, -1, dtype=np.int64)),
-        _frozen(lookup),
+        _frozen(exponents.sum(axis=1)),
+        _frozen(np.array(below, dtype=np.int64)),
     )
 
 
 @lru_cache(maxsize=None)
-def _product_table(dim: int, cap_a: int, cap_b: int, top: int) -> tuple[np.ndarray, ...]:
-    """Pairs (ia, ib) with deg a + deg b <= top, ia-major, and each product's position."""
+def _product_table(
+    dim: int, low_a: int, cap_a: int, low_b: int, cap_b: int, top: int
+) -> tuple[np.ndarray, ...]:
+    """Pairs (ia, ib) with deg a in [low_a, cap_a], deg b in [low_b, cap_b] and
+    deg a + deg b <= top, ia-major, and each product's position."""
     a, b = _basis(dim, cap_a), _basis(dim, cap_b)
-    ia, ib = np.nonzero(a.degrees[:, None] + b.degrees[None, :] <= top)
+    start_a, start_b = space_dimension(dim, low_a - 1), space_dimension(dim, low_b - 1)
+    ia, ib = np.nonzero(a.degrees[start_a:, None] + b.degrees[None, start_b:] <= top)
+    ia, ib = ia + start_a, ib + start_b
     out = _basis(dim, top).rank(a.exponents[ia] + b.exponents[ib])
     return _frozen(ia), _frozen(ib), _frozen(out)
 
@@ -315,6 +347,21 @@ def _scale(vec: np.ndarray, factor: "Scalar | np.ndarray") -> np.ndarray:
 def _zeros(vec: np.ndarray, size: int = 0) -> np.ndarray:
     """Zero coefficients, ``size`` per row, with the stack axis of ``vec``."""
     return np.zeros(vec.shape[:-1] + (size,), dtype=complex)
+
+
+def _lowest_layer(dim: int, vec: np.ndarray, cap: int) -> int:
+    """The lowest layer, up to ``cap``, that is non-zero in some row; cap + 1 if none is.
+
+    Checked upward from layer 0, so the usual answer, 0, costs one look at
+    the constant terms.
+    """
+    start = 0
+    for degree in range(cap + 1):
+        stop = start + layer_dimension(dim, degree)
+        if np.count_nonzero(vec[..., start:stop]):
+            return degree
+        start = stop
+    return cap + 1
 
 
 def _cap_of(dim: int, size: int) -> int:
@@ -621,7 +668,10 @@ class GradedPoly(_Poly):
         top = self.cap + other.cap if bound is None else min(bound, self.cap + other.cap)
         if self.cap < 0 or other.cap < 0 or top < 0:
             return _graded(self.dim, -1, _zeros(max(self.vec, other.vec, key=np.ndim)))
-        ia, ib, out = _product_table(self.dim, min(self.cap, top), min(other.cap, top), top)
+        cap_a, cap_b = min(self.cap, top), min(other.cap, top)
+        low_a = _lowest_layer(self.dim, self.vec, cap_a)
+        low_b = _lowest_layer(self.dim, other.vec, cap_b)
+        ia, ib, out = _product_table(self.dim, low_a, cap_a, low_b, cap_b, top)
         terms = _times(_gather(self.vec, ia), _gather(other.vec, ib))
         return _graded(self.dim, top, _reduce(out, terms, space_dimension(self.dim, top)))
 

@@ -299,6 +299,13 @@ class TestStackedStudies:
         want = taylor_truncation_reference(family[0], bound)
         assert got.cap == want.cap and got.vec.tobytes() == want.vec.tobytes()
 
+    def test_constant_phase_row_keeps_positive_zeros(self):
+        # alone, exp(2i) is a constant; in a stack of cap 1 its X coefficient is a
+        # zero times exp(2i), and cos(2) < 0 would make it -0
+        family = [function_of(GradedPoly(1, {(0,): 2j})), function_of(GradedPoly(1, {(1,): 1j}))]
+        want = taylor_matrix_reference(family, 1)
+        assert taylor_matrix(family, 1).tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_taylor_truncation_differs_only_where_the_full_products_give_nan(self, bad):
         phi = function_of(GradedPoly(2, {

@@ -288,14 +288,18 @@ class TestBuild:
 
 class TestVerify:
     def test_round_trip(self, tmp_path):
-        config = write_config(tmp_path / "c.json")
-        out = tmp_path / "out"
-        main(["build", "--config", str(config), "--out", str(out), "--quiet"])
-        assert main(["verify", "--config", str(config), "--out", str(out), "--quiet"]) == 0
-        report = json.loads((out / "report.json").read_text())
-        assert report["passed"] is True
-        assert report["hypotheses"]["passed"] is True
-        assert report["hypotheses"]["seed"] == 424242
+        omode = {"type": "helmholtz", "preset": "omode_linear", "kappa0_sq": 9.0, "x_cut": 2.0}
+        for name, overrides in (("constant", {}), ("omode", {"operator": omode})):
+            config = write_config(tmp_path / f"{name}.json", **overrides)
+            out = tmp_path / name
+            assert main(["build", "--config", str(config), "--out", str(out), "--quiet"]) == 0
+            records = json.loads((out / "basis.json").read_text())
+            assert max(record["residual_norm"] for record in records) <= 1e-11
+            assert main(["verify", "--config", str(config), "--out", str(out), "--quiet"]) == 0
+            report = json.loads((out / "report.json").read_text())
+            assert report["passed"] is True
+            assert report["hypotheses"]["passed"] is True
+            assert report["hypotheses"]["seed"] == 424242
 
     def test_corrupted_basis_detected_and_named(self, tmp_path):
         config = write_config(tmp_path / "c.json")

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from gpwlab import operators
-from gpwlab.basis import build_family, unit_circle_directions, unit_sphere_directions
+from gpwlab.approx import sphere_points
+from gpwlab.basis import build_family, build_gpw, unit_circle_directions, unit_sphere_directions
 from gpwlab.frame import random_poly, verify_split
 from gpwlab.operators import (
     CoefficientJet,
@@ -15,7 +16,7 @@ from gpwlab.operators import (
     omode_kappa_sq,
     principal_sqrt,
 )
-from gpwlab.polycore import GradedPoly
+from gpwlab.polycore import GradedPoly, evaluate_each, monomials_up_to
 
 X = GradedPoly.variable(2, 0)
 Y = GradedPoly.variable(2, 1)
@@ -258,6 +259,50 @@ class TestConvectedReference:
         worst = {check.check: check.max_violation for check in report.checks}
         assert worst["remainder_top_zero"] == 0.0
         assert worst["remainder_degree_shift"] == 0.0
+
+
+def convected_image(phase, rho, mach, kappa):
+    """L exp(P) / exp(P), exact, for the convected operator in divergence form
+    L u = div(rho grad u) - (div(rho M .) - i kappa rho)(M . grad u - i kappa u).
+
+    With w = M . grad P - i kappa this is div(rho grad P) + rho |grad P|^2
+    - div(rho M w) - rho w M . grad P + i kappa rho w: plain products and
+    derivatives of rho, M and P, nothing truncated and no split code.
+    """
+    zero = GradedPoly.zero(phase.dim)
+    grads = phase.gradient()
+    along = sum((m * g for m, g in zip(mach, grads)), zero)
+    rho_w = rho * (along - GradedPoly.constant(phase.dim, 1j * kappa))
+    out = sum(((rho * g - rho_w * m).partial(i) for i, (g, m) in enumerate(zip(grads, mach))), zero)
+    return out + rho * sum((g * g for g in grads), zero) - rho_w * along + rho_w.scaled(1j * kappa)
+
+
+class TestConvectedResidualOrder:
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("degree", [3, 4, 5, 6])
+    def test_variable_rho_and_mach_residual_decays_at_order_p_minus_1(self, dim, degree):
+        # the slack of acceptance criterion 7: max |L phi| on spheres of radius
+        # 0.4 to 0.05 falls with a log-log slope of at least p - 1 - 0.25
+        rng = np.random.default_rng(70 + 10 * dim + degree)
+
+        def field(value, scale):
+            terms = {index: scale * rng.uniform(-1, 1) for index in monomials_up_to(dim, 2)[1:]}
+            return GradedPoly(dim, {(0,) * dim: value, **terms})
+
+        rho = field(1.0, 0.2)
+        mach = [field(rng.uniform(-0.25, 0.25), 0.1) for _ in range(dim)]
+        kappa = 3.0
+        split = make_convected_split(rho, mach, kappa, degree)
+        direction = np.ones(dim) / np.sqrt(dim)
+        phase = build_gpw(split, tuple(direction)).phase
+        image = convected_image(phase, rho, mach, kappa)
+        radii = (0.4, 0.2, 0.1, 0.05)
+        worst = []
+        for h in radii:
+            values, phases = evaluate_each([image, phase], sphere_points(dim, (0,) * dim, h, 48))
+            worst.append(float(np.abs(values * np.exp(phases)).max()))
+        slope = np.polyfit(np.log(radii), np.log(worst), 1)[0]
+        assert slope >= degree - 1 - 0.25, (worst, slope)
 
 
 def convected_residual_reference(phase, rho0, mach0, kappa, offset):

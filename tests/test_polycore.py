@@ -1,5 +1,6 @@
 import itertools
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,10 @@ from gpwlab.polycore import (
     GradedPoly,
     HomogeneousPoly,
     _basis,
+    _gather,
+    _product_table,
+    _reduce,
+    _times,
     _vandermonde,
     evaluate_each,
     layer_dimension,
@@ -189,9 +194,25 @@ class TestMonomialTable:
         for n in range(-1, cap + 1):
             assert monomials_of_degree(dim, n) == monomials_of_degree_reference(dim, n)
 
+    @pytest.mark.parametrize("dim, cap", [(7, 5), (10, 4)])
+    def test_high_dimensions_allocate_about_the_table_alone(self, dim, cap):
+        # the enumeration of all (cap + 1)**dim tuples peaked at 20 MB for 7D cap 5
+        # and would list 9.8 million tuples for 10D cap 4; the table is 792 and
+        # 1001 monomials, about 0.4 MB at most with its tuples
+        tracemalloc.start()
+        try:
+            table = _basis.__wrapped__(dim, cap)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        reference = [j for n in range(cap + 1) for j in monomials_of_degree_reference(dim, n)]
+        assert list(table.monomials) == reference
+        assert table.rank(table.exponents).tolist() == list(range(len(reference)))
+
     def test_tables_are_read_only(self):
         table = _basis(2, 3)
-        for array in (table.exponents, table.degrees, table.radix, table.lookup):
+        for array in (table.exponents, table.degrees, table.below):
             with pytest.raises(ValueError):
                 array[0] = 1
 
@@ -710,6 +731,63 @@ def test_stack_products_below_operand_degrees_match_rows(data, dim):
     bound = max(min(a.degree, one.degree) - 1, 0)
     assert_rows_equal(one.mul_truncated(a, bound), [one.mul_truncated(x, bound) for x in a.rows()])
     assert_rows_equal(a * a, [x * x for x in a.rows()])
+
+
+# -- the lower cut: pairs below an operand's lowest non-zero layer are not formed --
+
+
+def mul_full_table(p, q, bound):
+    """The product over every pair of the bound's table, low layers included: the
+    kernel before the lower cut, kept as its oracle."""
+    top = p.cap + q.cap if bound is None else min(bound, p.cap + q.cap)
+    if p.cap < 0 or q.cap < 0 or top < 0:
+        return p.mul_truncated(q, bound)
+    ia, ib, out = _product_table(p.dim, 0, min(p.cap, top), 0, min(q.cap, top), top)
+    terms = _times(_gather(p.vec, ia), _gather(q.vec, ib))
+    return GradedPoly.from_vector(p.dim, _reduce(out, terms, space_dimension(p.dim, top)))
+
+
+@st.composite
+def low_stacks(draw, dim, rows):
+    """``rows`` polynomials (a single one if ``rows`` is None) of a drawn cap, every row
+    zero below a drawn layer, or not; zeros of both signs, dense or sparse values."""
+    cap = draw(st.integers(-1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (rows or 1, space_dimension(dim, cap))
+    vec = rng.uniform(-2, 2, shape) + 1j * rng.uniform(-2, 2, shape)
+    zeros = rng.random(shape) < draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]))
+    signs = rng.choice([-1.0, 1.0], (2,) + shape)
+    vec.real[zeros], vec.imag[zeros] = 0.0 * signs[0][zeros], 0.0 * signs[1][zeros]
+    if draw(st.booleans()):
+        low = draw(st.integers(0, cap + 1))
+        below = space_dimension(dim, low - 1)
+        vec.real[:, :below] = 0.0 * signs[0][:, :below]
+        vec.imag[:, :below] = 0.0 * signs[1][:, :below]
+    return GradedPoly.from_vector(dim, vec if rows else vec[0])
+
+
+@given(st.data(), dims, st.one_of(st.none(), st.integers(-2, 13)))
+def test_lower_cut_has_the_bits_of_the_full_table(data, dim, bound):
+    rows = data.draw(st.integers(1, 60))
+    a = data.draw(low_stacks(dim, rows))
+    b = data.draw(low_stacks(dim, data.draw(st.sampled_from([None, rows]))))
+    one = data.draw(low_stacks(dim, None))
+    for p, q in ((a, b), (b, a), (one, a), (a, one), (one, one)):
+        got, want = p.mul_truncated(q, bound), mul_full_table(p, q, bound)
+        assert got.cap == want.cap
+        assert got.vec.shape == want.vec.shape and got.vec.tobytes() == want.vec.tobytes()
+
+
+def test_lower_cut_forms_no_zero_times_infinity():
+    # X * inf: the full table forms 0 * inf = NaN at the constant term, from the
+    # constant of X, which is below X's lowest non-zero layer; the cut skips it.
+    x = GradedPoly.variable(1, 0)
+    infinite = GradedPoly.constant(1, complex(np.inf, 0.0))
+    with np.errstate(invalid="ignore"):
+        got, want = x.mul_truncated(infinite, None), mul_full_table(x, infinite, None)
+    assert np.isnan(want.vec[0].real) and np.isnan(want.vec[0].imag)
+    assert got.vec[:1].tobytes() == np.zeros(1, dtype=complex).tobytes()
+    assert got.vec[1:].tobytes() == want.vec[1:].tobytes()
 
 
 @given(st.data(), dims, st.lists(st.integers(0, 6), min_size=3, max_size=3))
