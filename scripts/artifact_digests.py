@@ -13,13 +13,20 @@ the same lines, so put each tree's ``src`` on PYTHONPATH in turn:
     PYTHONPATH=src python3 scripts/artifact_digests.py a.json b.json --seeds 1 7 42
 
 A subcommand that exits non-zero is reported on stderr, and the script
-then exits 1.
+then exits 1.  Since the SVD's bits depend on OpenBLAS's CPU kernels, the
+script first prints one ``blas:`` line to stderr: the numpy version, the
+config string of the OpenBLAS numpy bundles ("unknown" if it has none)
+and ``OPENBLAS_CORETYPE`` if it is set.  stdout holds the digests alone.
 """
 import argparse
+import ctypes
 import hashlib
+import os
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 from gpwlab import cli
 
@@ -37,11 +44,26 @@ def commands(config_path: str) -> list[str]:
     return ["build", "verify", "rank"] + (["converge"] if converges else [])
 
 
+def blas_line() -> str:
+    try:
+        from numpy._core import _multiarray_umath
+
+        get_config = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_get_config64_
+        get_config.restype = ctypes.c_char_p
+        config = " ".join(get_config().decode().split())
+    except (ImportError, OSError, AttributeError):
+        config = "unknown"
+    line = f"blas: numpy {np.__version__}; {config}"
+    coretype = os.environ.get("OPENBLAS_CORETYPE")
+    return line if coretype is None else f"{line}; OPENBLAS_CORETYPE={coretype}"
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("configs", nargs="+", help="run config JSON paths")
     parser.add_argument("--seeds", nargs="+", type=int, required=True)
     args = parser.parse_args()
+    print(blas_line(), file=sys.stderr)
     try:
         plans = {config: commands(config) for config in args.configs}
     except cli.ConfigError as err:

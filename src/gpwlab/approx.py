@@ -17,7 +17,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .basis import ExpPhase, GpwFunction, directions
-from .operators import CoefficientJet, helmholtz_image
+from .operators import CoefficientJet, exp_residual_at, helmholtz_form, helmholtz_image
 from .polycore import GradedPoly, evaluate_each, space_dimension
 
 
@@ -408,19 +408,6 @@ def convergence_study(
 # -- residual order -----------------------------------------------------------
 
 
-def helmholtz_residual_exact(
-    phi: GpwFunction, kappa_sq: GradedPoly, offsets: np.ndarray
-) -> np.ndarray:
-    """Helmholtz operator applied to the function at center + each row of (n, dim) offsets.
-
-    Exact when the wavenumber square is polynomial (centered coordinates):
-    the image of the exponential is then an exact polynomial times the
-    exponential, with no truncation anywhere.
-    """
-    symbol, phase = evaluate_each([helmholtz_image(phi.phase, kappa_sq), phi.phase], offsets)
-    return symbol * np.exp(phase)
-
-
 def helmholtz_residual_fd(
     phi: GpwFunction,
     kappa_sq_field: Callable[[Sequence[float]], complex],
@@ -451,8 +438,8 @@ def residual_order_study(
     """Decay of max |L phi| on spheres of shrinking radius around the center.
 
     ``kappa_sq`` is either the centered polynomial coefficient (exact, by
-    :func:`helmholtz_residual_exact`) or a callable field on global
-    coordinates (finite differences with step radius * 1e-3).
+    :func:`operators.exp_residual_at` of the Helmholtz form) or a callable
+    field on global coordinates (finite differences with step radius * 1e-3).
     """
     radii = _check_radii(radii, 2)
     if expected_order is None:
@@ -461,7 +448,7 @@ def residual_order_study(
     for h in radii:
         points = np.asarray(sphere_points(phi.phase.dim, phi.center, h, samples))
         if isinstance(kappa_sq, GradedPoly):
-            values = helmholtz_residual_exact(phi, kappa_sq, points - phi.center)
+            values = exp_residual_at(helmholtz_form(kappa_sq), phi.phase, points - phi.center)
         else:
             values = helmholtz_residual_fd(phi, kappa_sq, points, h * 1e-3)
         errors.append(float(np.max(np.abs(values), initial=0.0)))

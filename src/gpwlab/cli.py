@@ -35,6 +35,8 @@ REPORT_FILE = "report.json"
 RANK_FILE = "rank.json"
 CONVERGENCE_JSON = "convergence.json"
 CONVERGENCE_CSV = "convergence.csv"
+MAX_DEGREE = 20
+MAX_DIRECTIONS = 10000
 
 
 class ConfigError(ValueError):
@@ -73,12 +75,12 @@ class RunConfig:
             raise ConfigError(f"bad config field: {err}") from err
         if dim not in (2, 3):
             raise ConfigError("dimension must be 2 or 3")
-        if degree < 2:
-            raise ConfigError("degree must be at least 2")
+        if not 2 <= degree <= MAX_DEGREE:
+            raise ConfigError(f"degree must be between 2 and {MAX_DEGREE}")
         if len(center) != dim:
             raise ConfigError("center length must match the dimension")
-        if count < 1:
-            raise ConfigError("directions must be at least 1")
+        if not 1 <= count <= MAX_DIRECTIONS:
+            raise ConfigError(f"directions must be between 1 and {MAX_DIRECTIONS}")
         if radii and (
             any(h <= 0 for h in radii) or any(a <= b for a, b in zip(radii, radii[1:]))
         ):

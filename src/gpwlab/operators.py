@@ -1,20 +1,21 @@
 """Helmholtz and convected-Helmholtz operators as graded splits.
 
 Both operators are L u = sum_ij A_ij d_ij u + sum_i b_i d_i u + c u with
-coefficient jets (A, b, c), acting on exponentials of polynomial phases.
-Dividing the image by the exponential and truncating the Taylor expansion
-at the center yields a polynomial equation for the phase, which splits into
-the frozen-coefficient principal part (the layer-respecting linear block)
-plus a remainder carrying the gradient products and the variable parts of
-the coefficients.  One builder makes this split from (A, b, c) for both
-factories below.
+coefficient jets held as one :class:`SecondOrderForm` (A, b, c), acting on
+exponentials of polynomial phases.  Dividing the image by the exponential
+and truncating the Taylor expansion at the center yields a polynomial
+equation for the phase, which splits into the frozen-coefficient principal
+part (the layer-respecting linear block) plus a remainder carrying the
+gradient products and the variable parts of the coefficients.  One builder
+makes this split from the form for both factories below; :func:`exp_image`
+reads the same form as the independent residual oracle.
 """
 from __future__ import annotations
 
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -65,25 +66,31 @@ def as_jet(value: "CoefficientJet | GradedPoly") -> CoefficientJet:
     raise TypeError(f"cannot interpret {type(value).__name__} as a coefficient jet")
 
 
+class SecondOrderForm(NamedTuple):
+    """``a`` maps (i, j), i <= j, to the jet of the symmetric A_ij (missing
+    entries are zero); ``b`` holds one jet per axis and ``c`` one jet."""
+
+    a: Mapping[tuple[int, int], GradedPoly]
+    b: Sequence[GradedPoly]
+    c: GradedPoly
+
+
 def _second_order_split(
-    a: Mapping[tuple[int, int], GradedPoly],
-    b: Sequence[GradedPoly],
-    c: GradedPoly,
+    form: SecondOrderForm,
     degree: int,
     dispersion: Callable[[Sequence[float]], complex],
     label: str,
 ) -> OperatorSplit:
-    """Split of the phase equation of L u = sum_ij A_ij d_ij u + sum_i b_i d_i u + c u.
+    """Split of the phase equation of the operator ``form`` at one degree.
 
-    ``a`` maps (i, j), i <= j, to the jet of the symmetric A_ij (missing
-    entries are zero); ``b`` holds one jet per axis.  Over exp(P), L gives
-    sum_ij A_ij (d_ij P + d_i P d_j P) + b . grad P + c.  With w_ij = 2 off
-    the diagonal and 1 on it and V_ij = A_ij - A_ij(0), the principal part
-    is sum w_ij A_ij(0) d_ij, the remainder
+    Over exp(P), L gives sum_ij A_ij (d_ij P + d_i P d_j P) + b . grad P + c.
+    With w_ij = 2 off the diagonal and 1 on it and V_ij = A_ij - A_ij(0),
+    the principal part is sum w_ij A_ij(0) d_ij, the remainder
     T_bound[sum w_ij (V_ij (d_ij P + d_i P d_j P) + A_ij(0) d_i P d_j P) + b . grad P]
     and the target -T_bound c.  Grouped this way, each varying coefficient
     multiplies once per call; with V = 0 only the gradient products remain.
     """
+    a, b, c = form
     dim, bound = c.dim, degree - 2
     frozen, quadratic = {}, []
     for (i, j), jet in sorted(a.items()):
@@ -129,7 +136,9 @@ def _second_order_split(
     )
 
 
-def _multiplier(coefficient: GradedPoly, bound: int) -> Callable[[GradedPoly], GradedPoly] | None:
+def _multiplier(
+    coefficient: GradedPoly, bound: int | None
+) -> Callable[[GradedPoly], GradedPoly] | None:
     """poly -> T_bound(coefficient * poly); None if zero, a scaling if constant, T_bound if 1."""
     coefficient = coefficient.truncate(bound)
     if not coefficient:
@@ -142,27 +151,53 @@ def _multiplier(coefficient: GradedPoly, bound: int) -> Callable[[GradedPoly], G
     return lambda poly: poly.truncate(bound).scaled(value)
 
 
+def exp_image(form: SecondOrderForm, phase: GradedPoly, bound: int | None = None) -> GradedPoly:
+    """T_bound[sum_ij w_ij A_ij (d_ij P + d_i P d_j P) + b . grad P + c], P = phase, None: exact.
+
+    L exp(P) / exp(P) by plain products through :func:`_multiplier`, not the
+    split's frozen/varying grouping: an independent oracle for split-built
+    phases.  Second derivatives in (i, j) order, then gradient products,
+    then b, then c, each group summed alone; unit factors are skipped and
+    zero terms not added, so the Helmholtz form has the bits of
+    Lap P + |grad P|^2 + kappa^2.
+    """
+    grads = phase.gradient()
+    second = square = linear = GradedPoly.zero(phase.dim)
+    for (i, j), jet in sorted(form.a.items()):
+        if times := _multiplier(jet if i == j else jet.scaled(2), bound):
+            second = second + times(phase.hessian_entry(i, j))
+            square = square + times(grads[i].mul_truncated(grads[j], bound))
+    for i, jet in enumerate(form.b):
+        if times := _multiplier(jet, bound):
+            linear = linear + times(grads[i])
+    return sum((part for part in (linear, form.c.truncate(bound)) if part), second + square)
+
+
+def exp_residual_at(form: SecondOrderForm, phase: GradedPoly, offsets: np.ndarray) -> np.ndarray:
+    """L exp(phase) at the rows of the (n, dim) ``offsets``, exact for polynomial jets: the
+    untruncated image and the phase from one Vandermonde matrix, times exp(phase)."""
+    image, phase_values = evaluate_each([exp_image(form, phase), phase], offsets)
+    return image * np.exp(phase_values)
+
+
 # -- Helmholtz ----------------------------------------------------------
+
+
+def helmholtz_form(kappa_sq: GradedPoly) -> SecondOrderForm:
+    """(A, b, c) = (I, 0, kappa^2): the Laplacian plus kappa_sq."""
+    dim = kappa_sq.dim
+    one, zero = GradedPoly.constant(dim, 1.0), GradedPoly.zero(dim)
+    return SecondOrderForm({(i, i): one for i in range(dim)}, (zero,) * dim, kappa_sq)
 
 
 def helmholtz_image(
     phase: GradedPoly, kappa_sq: GradedPoly, bound: int | None = None
 ) -> GradedPoly:
-    """Image of exp(phase) under the Helmholtz operator, over exp(phase).
-
-    Evaluates Lap(phase) + T_bound |grad(phase)|^2 + T_bound kappa_sq with
-    exact polynomial arithmetic; ``bound=None`` truncates nothing.  Serves
-    as the independent residual oracle for phases produced through the
-    split machinery.
-    """
-    if bound is not None:
-        if phase.degree > bound + 2:
-            raise ValueError(f"phase degree {phase.degree} exceeds bound {bound} + 2")
-        kappa_sq = kappa_sq.truncate(bound)
-    grad_sq = GradedPoly.zero(phase.dim)
-    for g in phase.gradient():
-        grad_sq = grad_sq + g.mul_truncated(g, bound)
-    return phase.laplacian() + grad_sq + kappa_sq
+    """Lap(phase) + T_bound |grad(phase)|^2 + T_bound kappa_sq, the image of exp(phase)
+    over exp(phase); ``bound=None`` truncates nothing.  Degree above bound + 2 is refused."""
+    if bound is not None and phase.degree > bound + 2:
+        raise ValueError(f"phase degree {phase.degree} exceeds bound {bound} + 2")
+    return exp_image(helmholtz_form(kappa_sq), phase, bound)
 
 
 def make_helmholtz_split(
@@ -176,21 +211,41 @@ def make_helmholtz_split(
     has no layers and every linear phase satisfies the (empty) constraint.
     """
     jet = as_jet(kappa_sq)
-    dim = jet.poly.dim
     if degree < 1:
         raise ValueError("phase degree must be at least 1")
     kappa0 = principal_sqrt(jet.value_at_center())
     return _second_order_split(
-        {(i, i): GradedPoly.constant(dim, 1.0) for i in range(dim)},
-        (GradedPoly.zero(dim),) * dim,
-        jet.poly,
-        degree,
-        lambda _direction: kappa0,
-        "helmholtz",
+        helmholtz_form(jet.poly), degree, lambda _direction: kappa0, "helmholtz"
     )
 
 
 # -- convected Helmholtz --------------------------------------------------
+
+
+def convected_form(
+    rho: GradedPoly, mach: Sequence[GradedPoly], kappa: complex, bound: int
+) -> SecondOrderForm:
+    """The convected form, truncated at ``bound``: A_ij = rho (delta_ij - M_i M_j),
+    b_j = d_j rho - sum_i rho M_i d_i M_j - (div(rho M) - 2i kappa rho) M_j
+    and c = i kappa div(rho M) + rho kappa^2."""
+    dim, kappa = rho.dim, complex(kappa)
+    zero = GradedPoly.zero(dim)
+    rho_m = tuple(rho.mul_truncated(m, bound + 1) for m in mach)
+    div_rho_m = sum((rho_m[i].partial(i) for i in range(dim)), zero)
+    transport = div_rho_m - rho.scaled(2j * kappa)
+    a = {
+        (i, j): (rho if i == j else zero) - rho_m[i].mul_truncated(mach[j], bound)
+        for i in range(dim)
+        for j in range(i, dim)
+    }
+    b = [
+        rho.partial(j)
+        - sum((rho_m[i].mul_truncated(mach[j].partial(i), bound) for i in range(dim)), zero)
+        - transport.mul_truncated(mach[j], bound)
+        for j in range(dim)
+    ]
+    c = div_rho_m.scaled(1j * kappa) + rho.scaled(kappa**2)
+    return SecondOrderForm(a, b, c)
 
 
 def make_convected_split(
@@ -203,10 +258,8 @@ def make_convected_split(
 
     ``rho`` is the fluid density jet, ``mach`` the components of the
     rescaled velocity jet (subsonic at the center), and ``kappa`` the
-    constant wavenumber.  The operator is the form (A, b, c) with
-    A_ij = rho (delta_ij - M_i M_j),
-    b_j = d_j rho - sum_i rho M_i d_i M_j - (div(rho M) - 2i kappa rho) M_j
-    and c = i kappa div(rho M) + rho kappa^2, each computed once per split.
+    constant wavenumber.  The operator is :func:`convected_form`, computed
+    once per split.
     """
     rho_jet = as_jet(rho)
     dim = rho_jet.poly.dim
@@ -215,7 +268,6 @@ def make_convected_split(
         raise ValueError("velocity jet must have one component per dimension")
     if degree < 2:
         raise ValueError("phase degree must be at least 2")
-    bound = degree - 2
 
     rho0 = rho_jet.value_at_center()
     if rho0 == 0:
@@ -226,30 +278,13 @@ def make_convected_split(
         raise ValueError(f"velocity magnitude {speed:.3f} at the center is not subsonic")
 
     kappa = complex(kappa)
-    rho_p = rho_jet.poly
-    mach_p = tuple(m.poly for m in mach_jets)
-    zero = GradedPoly.zero(dim)
-    rho_m = tuple(rho_p.mul_truncated(m, bound + 1) for m in mach_p)
-    div_rho_m = sum((rho_m[i].partial(i) for i in range(dim)), zero)
-    transport = div_rho_m - rho_p.scaled(2j * kappa)
-    a = {
-        (i, j): (rho_p if i == j else zero) - rho_m[i].mul_truncated(mach_p[j], bound)
-        for i in range(dim)
-        for j in range(i, dim)
-    }
-    b = [
-        rho_p.partial(j)
-        - sum((rho_m[i].mul_truncated(mach_p[j].partial(i), bound) for i in range(dim)), zero)
-        - transport.mul_truncated(mach_p[j], bound)
-        for j in range(dim)
-    ]
-    c = div_rho_m.scaled(1j * kappa) + rho_p.scaled(kappa**2)
+    form = convected_form(rho_jet.poly, [m.poly for m in mach_jets], kappa, degree - 2)
 
     def dispersion(direction: Sequence[float]) -> complex:
         along = sum(m * d for m, d in zip(mach0, direction))
         return kappa / (1.0 + along)
 
-    return _second_order_split(a, b, c, degree, dispersion, "convected")
+    return _second_order_split(form, degree, dispersion, "convected")
 
 
 def convected_residual_at(
@@ -262,36 +297,22 @@ def convected_residual_at(
     """Constant-coefficient convected operator applied to exp(phase), at many points.
 
     For constant rho and M the operator reduces to
-    rho0 * (Lap - (M0 . grad)^2 + 2 i kappa M0 . grad + kappa^2); applied to
-    an exponential of a polynomial phase this is an exact polynomial symbol
-    times the exponential.  The symbol is built once, without any
-    truncation, and it and the phase are evaluated together, from one
-    Vandermonde matrix, at the rows of the (n, dim) array ``offsets``;
-    returns the n values.  Independent check for constant-coefficient basis
-    functions.
+    rho0 * (Lap - (M0 . grad)^2 + 2 i kappa M0 . grad + kappa^2), the form
+    A = rho0 (I - M0 M0^T), b = 2 i kappa rho0 M0, c = rho0 kappa^2, written
+    from the scalars, not by :func:`convected_form`: an independent check for
+    constant-coefficient basis functions, by :func:`exp_residual_at`.
     """
-    grads = phase.gradient()
-    along = GradedPoly.zero(phase.dim)
-    for m, g in zip(mach0, grads):
-        along = along + g.scaled(m)
-    grad_sq = GradedPoly.zero(phase.dim)
-    for g in grads:
-        grad_sq = grad_sq + g.mul_truncated(g, None)
-    along_sq = along.mul_truncated(along, None)
-    along_deriv = GradedPoly.zero(phase.dim)
-    for i, mi in enumerate(mach0):
-        for j, mj in enumerate(mach0):
-            along_deriv = along_deriv + phase.hessian_entry(i, j).scaled(mi * mj)
-    symbol = (
-        phase.laplacian()
-        + grad_sq
-        - along_deriv
-        - along_sq
-        + along.scaled(2j * kappa)
-        + GradedPoly.constant(phase.dim, kappa**2)
+    dim = phase.dim
+    form = SecondOrderForm(
+        {
+            (i, j): GradedPoly.constant(dim, rho0 * ((i == j) - mach0[i] * mach0[j]))
+            for i in range(dim)
+            for j in range(i, dim)
+        },
+        [GradedPoly.constant(dim, 2j * kappa * rho0 * m) for m in mach0],
+        GradedPoly.constant(dim, rho0 * kappa**2),
     )
-    symbol_values, phase_values = evaluate_each([symbol, phase], offsets)
-    return rho0 * symbol_values * np.exp(phase_values)
+    return exp_residual_at(form, phase, offsets)
 
 
 # -- coefficient presets --------------------------------------------------

@@ -184,11 +184,14 @@ def _product_table(
     dim: int, low_a: int, cap_a: int, low_b: int, cap_b: int, top: int
 ) -> tuple[np.ndarray, ...]:
     """Pairs (ia, ib) with deg a in [low_a, cap_a], deg b in [low_b, cap_b] and
-    deg a + deg b <= top, ia-major, and each product's position."""
+    deg a + deg b <= top, ia-major, and each product's position; with degree
+    floors, the floor-free table of the same caps and top, masked."""
     a, b = _basis(dim, cap_a), _basis(dim, cap_b)
-    start_a, start_b = space_dimension(dim, low_a - 1), space_dimension(dim, low_b - 1)
-    ia, ib = np.nonzero(a.degrees[start_a:, None] + b.degrees[None, start_b:] <= top)
-    ia, ib = ia + start_a, ib + start_b
+    if low_a > 0 or low_b > 0:
+        tables = _product_table(dim, 0, cap_a, 0, cap_b, top)
+        keep = (a.degrees[tables[0]] >= low_a) & (b.degrees[tables[1]] >= low_b)
+        return tuple(_frozen(table[keep]) for table in tables)
+    ia, ib = np.nonzero(a.degrees[:, None] + b.degrees[None, :] <= top)
     out = _basis(dim, top).rank(a.exponents[ia] + b.exponents[ib])
     return _frozen(ia), _frozen(ib), _frozen(out)
 
@@ -683,9 +686,9 @@ class GradedPoly(_Poly):
         nonzero = self._support()
         return int(_basis(self.dim, self.cap).degrees[nonzero[-1]]) if nonzero.size else -1
 
-    def truncate(self, bound: int) -> "GradedPoly":
-        """Keep layers 0..bound; negative bounds give the zero polynomial."""
-        if bound >= self.cap:
+    def truncate(self, bound: int | None) -> "GradedPoly":
+        """Keep layers 0..bound (None: all); negative bounds give the zero polynomial."""
+        if bound is None or bound >= self.cap:
             return self
         cap = max(bound, -1)
         return _graded(self.dim, cap, self.vec[..., : space_dimension(self.dim, cap)])

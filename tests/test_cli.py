@@ -82,6 +82,21 @@ class TestConfig:
         with pytest.raises(ConfigError):
             RunConfig.load(write_config(tmp_path / "c.json", degree=1))
 
+    @pytest.mark.parametrize(
+        "field, attribute, limit",
+        [("degree", "degree", 20), ("directions", "direction_count", 10000)],
+    )
+    def test_degree_and_directions_are_bounded(self, tmp_path, capsys, field, attribute, limit):
+        # checked at the limits through from_dict; nothing at the limit is built
+        raw = json.loads(write_config(tmp_path / "c.json").read_text())
+        assert getattr(RunConfig.from_dict({**raw, field: limit}), attribute) == limit
+        with pytest.raises(ConfigError, match=f"{field} must be between"):
+            RunConfig.from_dict({**raw, field: limit + 1})
+        config = write_config(tmp_path / "c.json", **{field: limit + 1})
+        assert main(["build", "--config", str(config), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_radii_must_decrease(self, tmp_path):
         with pytest.raises(ConfigError):
             RunConfig.load(write_config(tmp_path / "c.json", h_values=[0.1, 0.2]))
@@ -206,8 +221,8 @@ class TestConfig:
 
     @given(raw=config_bytes)
     def test_load_returns_or_raises_config_error(self, tmp_path_factory, raw):
-        # load only: degree and directions have no upper bound, so a fuzzed
-        # config must never reach build_problem or a command
+        # load only: within the bounds a fuzzed config may still ask for a
+        # 3D p=20 build or 10000 directions, too slow to run here
         path = tmp_path_factory.getbasetemp() / "fuzzed.json"
         path.write_bytes(raw)
         try:

@@ -9,14 +9,17 @@ from gpwlab.basis import build_family, build_gpw, unit_circle_directions, unit_s
 from gpwlab.frame import random_poly, verify_split
 from gpwlab.operators import (
     CoefficientJet,
+    SecondOrderForm,
+    convected_form,
     convected_residual_at,
+    exp_image,
     helmholtz_image,
     make_convected_split,
     make_helmholtz_split,
     omode_kappa_sq,
     principal_sqrt,
 )
-from gpwlab.polycore import GradedPoly, evaluate_each, monomials_up_to
+from gpwlab.polycore import GradedPoly, evaluate_each, monomials_up_to, space_dimension
 
 X = GradedPoly.variable(2, 0)
 Y = GradedPoly.variable(2, 1)
@@ -63,6 +66,32 @@ class TestHelmholtzImage:
     def test_degree_bound_enforced(self):
         with pytest.raises(ValueError):
             helmholtz_image(GradedPoly(2, {(5, 0): 1.0}), GradedPoly.zero(2), 2)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_has_the_bits_of_the_written_formula(self, dim):
+        # Lap P + T |grad P|^2 + T kappa^2, summed as written, on coefficients
+        # that mix signed zeros with random values
+        rng = np.random.default_rng(50 + dim)
+
+        def signed_zero_poly(degree):
+            parts = rng.uniform(-1.0, 1.0, (space_dimension(dim, degree), 2))
+            parts[rng.random(parts.shape) < 0.3] = 0.0
+            parts[rng.random(parts.shape) < 0.3] = -0.0
+            return GradedPoly.from_vector(dim, parts[:, 0] + 1j * parts[:, 1])
+
+        zero = GradedPoly.zero(dim)
+        for degree in (2, 3, 5):
+            for bound in (None, degree - 2, degree, degree + 3):
+                phase, kappa_sq = signed_zero_poly(degree), signed_zero_poly(degree - 1)
+                grads = phase.gradient()
+                want = (
+                    phase.laplacian()
+                    + sum((g.mul_truncated(g, bound) for g in grads), zero)
+                    + kappa_sq.truncate(bound)
+                )
+                got = helmholtz_image(phase, kappa_sq, bound)
+                assert got.cap == want.cap
+                assert got.vec.tobytes() == want.vec.tobytes()
 
 
 class TestHelmholtzSplit:
@@ -305,6 +334,47 @@ class TestConvectedResidualOrder:
         assert slope >= degree - 1 - 0.25, (worst, slope)
 
 
+class TestExpImage:
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("degree", [3, 4, 5, 6])
+    def test_convected_form_matches_divergence_form_image(self, dim, degree):
+        # variable rho and M, with a bound at the total degree of the image,
+        # so that neither the form nor the image truncates anything
+        rng = np.random.default_rng(90 + 10 * dim + degree)
+
+        def field(value, scale):
+            terms = {index: scale * rng.uniform(-1, 1) for index in monomials_up_to(dim, 2)[1:]}
+            return GradedPoly(dim, {(0,) * dim: value, **terms})
+
+        rho = field(1.0, 0.2)
+        mach = [field(rng.uniform(-0.25, 0.25), 0.1) for _ in range(dim)]
+        kappa = 3.0 + 0.5j
+        bound = 2 * degree + 4  # deg A + 2 deg P - 2, with deg A = 6
+        form = convected_form(rho, mach, kappa, bound)
+        split = make_convected_split(rho, mach, kappa, degree)
+        directions = unit_circle_directions(2) if dim == 2 else unit_sphere_directions(2)
+        phases = [phi.phase for phi in build_family(split, directions)]
+        phases += [random_poly(rng, dim, degree) for _ in range(2)]
+        for phase in phases:
+            want = convected_image(phase, rho, mach, kappa)
+            got = exp_image(form, phase, bound)
+            assert want.degree <= bound
+            assert (got - want).max_abs() <= 1e-13 * want.max_abs()
+
+
+def constant_flow_form(dim, rho0, mach0, kappa):
+    """A = rho0 (I - M0 M0^T), b = 2 i kappa rho0 M0, c = rho0 kappa^2."""
+    return SecondOrderForm(
+        {
+            (i, j): GradedPoly.constant(dim, rho0 * ((i == j) - mach0[i] * mach0[j]))
+            for i in range(dim)
+            for j in range(i, dim)
+        },
+        [GradedPoly.constant(dim, 2j * kappa * rho0 * m) for m in mach0],
+        GradedPoly.constant(dim, rho0 * kappa**2),
+    )
+
+
 def convected_residual_reference(phase, rho0, mach0, kappa, offset):
     """The per-point constant-coefficient convected residual, term by term, at one point."""
     grads = phase.gradient()
@@ -411,6 +481,7 @@ class TestConvectedSplit:
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_batched_residual_matches_per_point_formula(self, dim):
+        # batching: the batch against the same exp_image symbol, one point at a time
         rho0, kappa = 1.2, 3.0 + 0.5j
         mach0 = (0.3, -0.2, 0.1)[:dim]
         split = constant_flow_split(dim, rho0, mach0, kappa=kappa, degree=5)
@@ -419,7 +490,27 @@ class TestConvectedSplit:
         phases = [phi.phase for phi in build_family(split, directions)]
         phases.append(random_poly(rng, dim, 4))
         offsets = rng.uniform(-0.5, 0.5, (20, dim))
+        form = constant_flow_form(dim, rho0, mach0, kappa)
         for phase in phases:
+            batch = convected_residual_at(phase, rho0, mach0, kappa, offsets)
+            symbol = exp_image(form, phase)
+            reference = [
+                symbol.evaluate(tuple(point)) * cmath.exp(phase.evaluate(tuple(point)))
+                for point in offsets
+            ]
+            scale = max(abs(value) for value in reference)
+            assert np.abs(batch - reference).max() <= 1e-13 * scale
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_residual_matches_term_by_term_reference(self, dim):
+        # random phases leave a residual of order one, which the independent
+        # term-by-term symbol must reproduce to rounding
+        rho0, kappa = 1.2, 3.0 + 0.5j
+        mach0 = (0.3, -0.2, 0.1)[:dim]
+        rng = np.random.default_rng(60 + dim)
+        offsets = rng.uniform(-0.5, 0.5, (20, dim))
+        for _ in range(3):
+            phase = random_poly(rng, dim, 4)
             batch = convected_residual_at(phase, rho0, mach0, kappa, offsets)
             reference = [
                 convected_residual_reference(phase, rho0, mach0, kappa, tuple(point))

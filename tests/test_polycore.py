@@ -790,6 +790,29 @@ def test_lower_cut_forms_no_zero_times_infinity():
     assert got.vec[1:].tobytes() == want.vec[1:].tobytes()
 
 
+def product_table_reference(dim, low_a, cap_a, low_b, cap_b, top):
+    """The table with degree floors ranked from scratch on the block above the floors."""
+    a, b = _basis(dim, cap_a), _basis(dim, cap_b)
+    start_a, start_b = space_dimension(dim, low_a - 1), space_dimension(dim, low_b - 1)
+    ia, ib = np.nonzero(a.degrees[start_a:, None] + b.degrees[None, start_b:] <= top)
+    ia, ib = ia + start_a, ib + start_b
+    return ia, ib, _basis(dim, top).rank(a.exponents[ia] + b.exponents[ib])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_floored_product_tables_mask_the_full_table(dim):
+    # every cap, floor and top; the variants are built uncached so that only
+    # the floor-free tables stay in the cache
+    for cap_a, cap_b in itertools.product(range(-1, 7), repeat=2):
+        for top in range(-1, cap_a + cap_b + 1):
+            for low_a, low_b in itertools.product(range(cap_a + 2), range(cap_b + 2)):
+                key = (dim, low_a, cap_a, low_b, cap_b, top)
+                got, want = _product_table.__wrapped__(*key), product_table_reference(*key)
+                for table, reference in zip(got, want):
+                    assert table.dtype == reference.dtype, key
+                    assert np.array_equal(table, reference), key
+
+
 @given(st.data(), dims, st.lists(st.integers(0, 6), min_size=3, max_size=3))
 def test_stack_derive_matches_rows(data, dim, orders):
     a = data.draw(stacks(dim))

@@ -1,4 +1,5 @@
 """The scripts under scripts/ run and print what they promise."""
+import importlib.util
 import json
 import os
 import re
@@ -6,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -31,7 +33,7 @@ def test_script_runs_with_defaults(script):
     assert EXPECTED[script] in result.stdout.splitlines()[-1]
 
 
-def test_artifact_digests_repeat(tmp_path):
+def test_artifact_digests_repeat(tmp_path, monkeypatch):
     config = {
         "schema": "gpw-run/1",
         "dimension": 2,
@@ -68,6 +70,17 @@ def test_artifact_digests_repeat(tmp_path):
     ]
     assert [run.returncode for run in runs] == [0, 0], runs[0].stderr
     assert runs[0].stdout == runs[1].stdout
+    # one line on stderr records numpy's OpenBLAS; stdout holds the digests alone
+    assert runs[0].stderr == runs[1].stderr
+    (blas,) = runs[0].stderr.splitlines()
+    assert blas.startswith(f"blas: numpy {np.__version__}; ")
+    assert ("OPENBLAS_CORETYPE=" in blas) == ("OPENBLAS_CORETYPE" in os.environ)
+    script = ROOT / "scripts" / "artifact_digests.py"
+    spec = importlib.util.spec_from_file_location("digests", script)
+    digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digests)
+    monkeypatch.setenv("OPENBLAS_CORETYPE", "Haswell")
+    assert digests.blas_line().endswith("; OPENBLAS_CORETYPE=Haswell")
     lines = runs[0].stdout.splitlines()
     names = [line.split("  ", 1)[1] for line in lines]
     artifacts = ("basis.json", "report.json", "rank.json", "convergence.json", "convergence.csv")
